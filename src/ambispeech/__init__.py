@@ -6,7 +6,7 @@ multimodal, and a synthetic corpus generator for controlled experiments.
 """
 
 from .autodiff import (REGISTERED_OPS, Tensor, concat_last, gradient_check,
-                       masked_softmax, stack_steps)
+                       masked_softmax)
 from .checkpoint import load_params, save_params
 from .corpus import (INTENT_LABELS, Example, IntentLabel, UtteranceRecord,
                      featurize_corpus, load_embedding_table, load_manifest,
@@ -17,11 +17,11 @@ from .errors import (ConfigError, DataError, DegenerateMaskError,
                      EmptyInputError, LabelError, ManifestError,
                      ModalityError, ShapeError)
 from .features import (AudioSignal, EmbeddingTable, FeatureConfig,
-                       FeatureSequence, audio_features, batch_sequences,
-                       encode_dense, encode_sparse, end_align,
-                       load_feature_sequence, mel_center_frequencies,
-                       mel_filterbank, mel_spectrogram, read_wav,
-                       rmse_frames, save_feature_sequence, write_wav)
+                       FeatureSequence, audio_features, encode_dense,
+                       encode_sparse, end_align, load_feature_sequence,
+                       mel_center_frequencies, mel_filterbank,
+                       mel_spectrogram, read_wav, rmse_frames,
+                       save_feature_sequence, write_wav)
 from .hangul import char_row, compose, decompose
 from .models import (VARIANT_TAGS, IntentClassifier, ModelVariant,
                      load_model, save_model)
@@ -40,7 +40,7 @@ __all__ = [
     "LabelError", "ManifestError", "ModalityError", "ModelVariant",
     "REGISTERED_OPS", "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig",
     "UtteranceRecord", "VARIANT_TAGS", "attend", "audio_features",
-    "batch_sequences", "bre_forward", "char_row", "compose", "concat_last",
+    "bre_forward", "char_row", "compose", "concat_last",
     "cross_entropy", "decompose", "encode_dense", "encode_sparse",
     "end_align", "evaluate", "featurize_corpus", "format_report",
     "generate_synthetic", "gradient_check", "init_attention", "init_bre",
@@ -50,5 +50,5 @@ __all__ = [
     "rmse_frames",
     "save_embedding_table", "save_feature_sequence", "save_model",
     "save_params", "select_checkpoint", "self_attentive_pool",
-    "split_records", "stack_steps", "train", "write_manifest", "write_wav",
+    "split_records", "train", "write_manifest", "write_wav",
 ]

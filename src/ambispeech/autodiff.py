@@ -308,36 +308,6 @@ def concat_last(parts: Sequence) -> Tensor:
     return _node(out_data, ts, backward)
 
 
-def slice_last(a, start: int, stop: int) -> Tensor:
-    """View-free slice along the last axis."""
-    a = _wrap(a)
-    out_data = a.data[..., start:stop].copy()
-    if not a.requires_grad:
-        return Tensor(out_data)
-
-    def backward(g: Array) -> None:
-        full = np.zeros(a.shape)
-        full[..., start:stop] = g
-        _accum(a, full)
-
-    return _node(out_data, (a,), backward)
-
-
-def stack_steps(rows: Sequence[Tensor]) -> Tensor:
-    """Stack T tensors of shape (B, H) into (B, T, H)."""
-    ts = [_wrap(r) for r in rows]
-    out_data = np.stack([t.data for t in ts], axis=1)
-    if not any(t.requires_grad for t in ts):
-        return Tensor(out_data)
-
-    def backward(g: Array) -> None:
-        for t_idx, t in enumerate(ts):
-            if t.requires_grad:
-                _accum(t, g[:, t_idx])
-
-    return _node(out_data, ts, backward)
-
-
 # ------------------------------------------------------------- normalization
 
 
@@ -369,27 +339,6 @@ def masked_softmax(scores, mask) -> Tensor:
     return _node(out_data, (s,), backward)
 
 
-# ---------------------------------------------------------------- dispatcher
-
-_ELEMENTWISE: dict[str, Callable] = {
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "add": add,
-    "mul": mul,
-    "concat_last_axis": lambda *ops: concat_last(ops),
-}
-
-
-def elementwise(op_tag: str, *operands) -> Tensor:
-    """Apply a tagged elementwise/broadcast op; unknown tags are rejected."""
-    try:
-        fn = _ELEMENTWISE[op_tag]
-    except KeyError:
-        raise ShapeError(f"unknown op tag {op_tag!r}") from None
-    return fn(*operands)
-
-
 # every differentiable op the engine exposes, for exhaustive gradient tests
 REGISTERED_OPS: dict[str, Callable] = {
     "matmul": matmul,
@@ -405,8 +354,6 @@ REGISTERED_OPS: dict[str, Callable] = {
     "sum_axis": sum_axis,
     "mean": mean,
     "concat_last": concat_last,
-    "slice_last": slice_last,
-    "stack_steps": stack_steps,
     "masked_softmax": masked_softmax,
 }
 

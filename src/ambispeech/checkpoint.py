@@ -2,21 +2,34 @@
 
 Layout: magic b"AMBI1", u32 entry count, then per entry a u16 path length,
 the UTF-8 path, u8 ndim, u32 per dimension, and the float64 payload.
-All integers and floats are little-endian. Writes go through a temp file
-plus atomic rename so readers never observe a partial checkpoint.
+All integers and floats are little-endian. Every persisted file (checkpoints,
+model sidecars, feature-cache records) goes through write_atomic, so readers
+never observe a partial file.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import tempfile
 
 import numpy as np
 
 from .errors import DataError
 
 MAGIC = b"AMBI1"
+
+
+def write_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """Write data to a temp file beside path, then os.replace it into place."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_params(path: str | os.PathLike, params: dict[str, np.ndarray]) -> None:
@@ -35,16 +48,7 @@ def save_params(path: str | os.PathLike, params: dict[str, np.ndarray]) -> None:
         for d in a.shape:
             blob += struct.pack("<I", d)
         blob += a.tobytes()
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(blob))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, bytes(blob))
 
 
 def load_params(path: str | os.PathLike) -> dict[str, np.ndarray]:

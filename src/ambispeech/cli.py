@@ -88,10 +88,13 @@ def _caching_frame_loader(fcfg: ft.FeatureConfig, cache_dir: str | None, base_di
     """Frame loader for featurize_corpus that reads/writes the cache.
 
     The cache stores the unaligned frame matrix (all-ones mask), so one
-    record serves any later t_max.
+    record serves any later t_max. An entry counts as reused only once it
+    has loaded; a corrupt one is recomputed, overwritten and counted as
+    computed.
     """
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
+    counters = {} if counters is None else counters
 
     def load(record: cp.UtteranceRecord) -> np.ndarray:
         path = os.path.join(base_dir, record.audio)
@@ -101,13 +104,16 @@ def _caching_frame_loader(fcfg: ft.FeatureConfig, cache_dir: str | None, base_di
             key = _cache_key(fh.read(), fcfg)
         entry = os.path.join(cache_dir, key + ".ambf")
         if os.path.exists(entry):
-            if counters is not None:
+            try:
+                rows = ft.load_feature_sequence(entry).valid_rows()
+            except DataError:
+                pass  # a corrupt entry is recomputed and overwritten below
+            else:
                 counters["reused"] = counters.get("reused", 0) + 1
-            return ft.load_feature_sequence(entry).valid_rows()
+                return rows
         mat = ft.audio_frame_matrix(ft.read_wav(path), fcfg)
         ft.save_feature_sequence(entry, ft.end_align(mat))
-        if counters is not None:
-            counters["computed"] = counters.get("computed", 0) + 1
+        counters["computed"] = counters.get("computed", 0) + 1
         return mat
 
     return load
@@ -230,15 +236,10 @@ def cmd_train(args) -> int:
 
 
 def _write_plot_csvs(out_dir: str, report: tr.EvalReport) -> None:
-    with open(os.path.join(out_dir, "per_class_f1.csv"), "w", encoding="utf-8") as fh:
-        fh.write("class,precision,recall,f1\n")
-        for i, name in enumerate(cp.INTENT_LABELS):
-            fh.write(f"{name},{report.precision[i]:.6f},{report.recall[i]:.6f},"
-                     f"{report.f1[i]:.6f}\n")
-    with open(os.path.join(out_dir, "confusion.csv"), "w", encoding="utf-8") as fh:
-        fh.write("true\\pred," + ",".join(cp.INTENT_LABELS) + "\n")
-        for i, name in enumerate(cp.INTENT_LABELS):
-            fh.write(name + "," + ",".join(str(int(x)) for x in report.confusion[i]) + "\n")
+    for name, lines in (("per_class_f1.csv", tr.per_class_csv(report)),
+                        ("confusion.csv", tr.confusion_csv(report, "true\\pred"))):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def cmd_eval(args) -> int:

@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import EmptyInputError, ShapeError
-from .features import FeatureSequence
 
 Array = np.ndarray
 
@@ -36,15 +35,12 @@ class BREParams:
     input_dim: int
     hidden: int
 
-    def tensors(self) -> list[Tensor]:
-        return [self.fwd.Wx, self.fwd.Wh, self.fwd.b, self.bwd.Wx, self.bwd.Wh, self.bwd.b]
-
-    def state(self, prefix: str = "bre") -> dict[str, Array]:
+    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         out = {}
         for name, d in (("fwd", self.fwd), ("bwd", self.bwd)):
-            out[f"{prefix}.{name}.Wx"] = d.Wx.data
-            out[f"{prefix}.{name}.Wh"] = d.Wh.data
-            out[f"{prefix}.{name}.b"] = d.b.data
+            out[f"{prefix}.{name}.Wx"] = d.Wx
+            out[f"{prefix}.{name}.Wh"] = d.Wh
+            out[f"{prefix}.{name}.b"] = d.b
         return out
 
 
@@ -54,16 +50,10 @@ class AttentionParams:
     b: Tensor  # (d_c,)
     c: Tensor | None = None  # (d_c,), learned context in self-attentive mode
 
-    def tensors(self) -> list[Tensor]:
-        out = [self.W, self.b]
+    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+        out = {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
         if self.c is not None:
-            out.append(self.c)
-        return out
-
-    def state(self, prefix: str = "att") -> dict[str, Array]:
-        out = {f"{prefix}.W": self.W.data, f"{prefix}.b": self.b.data}
-        if self.c is not None:
-            out[f"{prefix}.c"] = self.c.data
+            out[f"{prefix}.c"] = self.c
         return out
 
 
@@ -180,41 +170,28 @@ def slice_time(a, start: int, stop: int) -> Tensor:
     return ad._node(out_data, (a,), backward)
 
 
-def _as_batch(x, mask) -> tuple[Array, Array, bool]:
-    if isinstance(x, FeatureSequence):
-        return x.data[None], x.mask[None], True
+def bre_forward(x, p: BREParams, mask) -> tuple[Tensor, Tensor]:
+    """Run both directions over the valid steps of a (B, T, D) batch.
+
+    Returns (H, final): H is (B, T, 2h) with zero rows at masked positions;
+    final is (B, 2h) = [last forward state ; earliest-valid backward state].
+    """
     data = np.asarray(x, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)
-    if data.ndim == 2:
-        return data[None], m[None], True
-    if data.ndim != 3 or m.ndim != 2:
+    if data.ndim != 3 or m.shape != data.shape[:2]:
         raise ShapeError(f"expected (B, T, D) data with (B, T) mask, got {data.shape}, {m.shape}")
-    return data, m, False
-
-
-def bre_forward(x, p: BREParams, mask=None) -> tuple[Tensor, Tensor]:
-    """Run both directions over valid steps; returns (H, final).
-
-    H is (B, T, 2h) with zero rows at masked positions; final is
-    (B, 2h) = [last forward state ; earliest-valid backward state]. A single
-    FeatureSequence (or (T, D) array with its mask) comes back unbatched.
-    """
-    data, m, single = _as_batch(x, mask)
     if data.shape[-1] != p.input_dim:
         raise ShapeError(f"input dim {data.shape[-1]} != encoder dim {p.input_dim}")
     if np.any(m.sum(axis=1) == 0.0):
         raise EmptyInputError("an input row has zero valid steps")
-    T = data.shape[1]
+    B, T = m.shape
     packed_f = _lstm_direction(data, m, p.fwd, reverse=False)
     packed_b = _lstm_direction(data, m, p.bwd, reverse=True)
     H = ad.concat_last([slice_time(packed_f, 0, T), slice_time(packed_b, 0, T)])
     final = ad.concat_last([
-        ad.reshape(slice_time(packed_f, T, T + 1), (data.shape[0], p.hidden)),
-        ad.reshape(slice_time(packed_b, T, T + 1), (data.shape[0], p.hidden)),
+        ad.reshape(slice_time(packed_f, T, T + 1), (B, p.hidden)),
+        ad.reshape(slice_time(packed_b, T, T + 1), (B, p.hidden)),
     ])
-    if single:
-        H = ad.reshape(H, (T, 2 * p.hidden))
-        final = ad.reshape(final, (2 * p.hidden,))
     return H, final
 
 
@@ -222,17 +199,16 @@ def bre_forward(x, p: BREParams, mask=None) -> tuple[Tensor, Tensor]:
 
 
 def attend(H, mask, ap: AttentionParams, context) -> tuple[Tensor, Tensor]:
-    """Additive attention: score_t = context . tanh(W H_t + b).
+    """Additive attention over a (B, T, S) batch: score_t = context . tanh(W H_t + b).
 
-    weights = masked_softmax(scores, mask), pooled = sum_t weights_t H_t.
-    Accepts (B, T, S) or single (T, S) inputs; context is (B, d_c) or (d_c,).
+    weights = masked_softmax(scores, mask) with a (B, T) mask, pooled =
+    sum_t weights_t H_t; context is (B, d_c) or one shared (d_c,) vector.
     """
     Ht = ad._wrap(H)
-    single = Ht.ndim == 2
-    if single:
-        Ht = ad.reshape(Ht, (1,) + Ht.shape)
+    m = np.asarray(mask, dtype=np.float64)
+    if Ht.ndim != 3 or m.shape != Ht.shape[:2]:
+        raise ShapeError(f"expected (B, T, S) states with (B, T) mask, got {Ht.shape}, {m.shape}")
     B, T, S = Ht.shape
-    m = np.asarray(mask, dtype=np.float64).reshape(B, T)
     d_c = ap.W.shape[0]
     ctx = ad._wrap(context)
     if ctx.shape[-1] != d_c:
@@ -243,9 +219,6 @@ def attend(H, mask, ap: AttentionParams, context) -> tuple[Tensor, Tensor]:
     scores = ad.sum_axis(ad.mul(proj, ctx3), axis=2)  # (B, T)
     weights = ad.masked_softmax(scores, m)
     pooled = ad.sum_axis(ad.mul(ad.reshape(weights, (B, T, 1)), Ht), axis=1)  # (B, S)
-    if single:
-        weights = ad.reshape(weights, (T,))
-        pooled = ad.reshape(pooled, (S,))
     return weights, pooled
 
 

@@ -9,12 +9,15 @@ whose valid rows sit at the END, described by a 0/1 mask.
 
 from __future__ import annotations
 
+import os
 import struct
+import wave
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import hangul
+from .checkpoint import write_atomic
 from .errors import ConfigError, DataError, EmptyInputError, ShapeError
 
 Array = np.ndarray
@@ -160,19 +163,6 @@ def end_align(rows: Array, t_max: int | None = None) -> FeatureSequence:
     return FeatureSequence(data, mask)
 
 
-def batch_sequences(seqs: list[FeatureSequence]) -> tuple[Array, Array]:
-    """Stack equally sized sequences into (B, T, D) data and (B, T) mask."""
-    if not seqs:
-        raise EmptyInputError("cannot batch zero sequences")
-    t_max, dim = seqs[0].t_max, seqs[0].dim
-    for s in seqs:
-        if s.t_max != t_max or s.dim != dim:
-            raise ShapeError(
-                f"sequence shapes differ: ({s.t_max}, {s.dim}) vs ({t_max}, {dim})"
-            )
-    return np.stack([s.data for s in seqs]), np.stack([s.mask for s in seqs])
-
-
 # ------------------------------------------------------------------- audio
 
 
@@ -308,19 +298,22 @@ def encode_dense(text: str, table: EmbeddingTable, t_max: int | None = None) -> 
 
 
 def read_wav(path) -> AudioSignal:
-    """Load a 16-bit PCM WAV as mono float64 in [-1, 1]."""
-    from scipy.io import wavfile
-
+    """Load a 16-bit PCM WAV as mono float64 in [-1, 1]; channels are averaged."""
     try:
-        rate, data = wavfile.read(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read wav {path}: {exc}") from exc
-    if data.dtype != np.int16:
-        raise DataError(f"{path}: expected 16-bit PCM, got dtype {data.dtype}")
-    samples = data.astype(np.float64)
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return AudioSignal(samples / 32768.0, int(rate))
+        with wave.open(os.fspath(path), "rb") as wf:
+            rate, width = wf.getframerate(), wf.getsampwidth()
+            channels, n_frames = wf.getnchannels(), wf.getnframes()
+            raw = wf.readframes(n_frames)
+    except (OSError, EOFError, wave.Error) as exc:
+        raise DataError(f"cannot read wav {path}: {str(exc) or 'file ends in its header'}") from exc
+    if width != 2:
+        raise DataError(f"{path}: expected 16-bit PCM, got {8 * width}-bit samples")
+    if len(raw) != n_frames * channels * 2:  # wave returns short reads silently
+        raise DataError(f"{path}: data chunk holds {len(raw)} of {n_frames * channels * 2} bytes")
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
+    return AudioSignal(samples / 32768.0, rate)
 
 
 def write_wav(path, signal: AudioSignal) -> None:
@@ -329,11 +322,12 @@ def write_wav(path, signal: AudioSignal) -> None:
     Quantization mirrors read_wav's /32768 so a round trip stays within
     half a quantization step (full-scale +1.0 clips to 32767).
     """
-    from scipy.io import wavfile
-
     q = np.round(np.clip(signal.samples, -1.0, 1.0) * 32768.0)
-    wavfile.write(path, signal.sample_rate,
-                  np.clip(q, -32768, 32767).astype(np.int16))
+    with wave.open(os.fspath(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(signal.sample_rate)
+        wf.writeframes(np.clip(q, -32768, 32767).astype("<i2").tobytes())
 
 
 # ------------------------------------------------------------ cache records
@@ -347,11 +341,11 @@ def save_feature_sequence(path, fs: FeatureSequence) -> None:
     blob += struct.pack("<II", fs.t_max, fs.dim)
     blob += np.ascontiguousarray(fs.data, dtype="<f8").tobytes()
     blob += fs.mask.astype(np.uint8).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def load_feature_sequence(path) -> FeatureSequence:
+    """Read a cache record; any unreadable or invalid record raises DataError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -369,7 +363,10 @@ def load_feature_sequence(path) -> FeatureSequence:
         raise DataError(f"{path} has the wrong payload size")
     data = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(t_max, dim)
     mask = np.frombuffer(raw, dtype=np.uint8, count=t_max, offset=off + n * 8)
-    return FeatureSequence(data.astype(np.float64), mask.astype(np.float64))
+    try:
+        return FeatureSequence(data.astype(np.float64), mask.astype(np.float64))
+    except (ShapeError, EmptyInputError) as exc:
+        raise DataError(f"{path} holds an invalid feature sequence: {exc}") from exc
 
 
 def resolve_t_max(cfg: FeatureConfig, audio_t: int | None = None, text_t: int | None = None) -> FeatureConfig:

@@ -8,7 +8,6 @@ distribution through a shared-head shape: encode, pool, concat, MLP.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,8 @@ N_CLASSES = len(INTENT_LABELS)
 VARIANT_TAGS = ("audio_bre", "audio_bre_att", "para_bre_att", "mha_a", "mha_at", "ca")
 AUDIO_ONLY_TAGS = ("audio_bre", "audio_bre_att")
 TEXT_MODES = ("none", "sparse", "dense")
+_SIDECAR_KEYS = ("variant", "text_mode", "audio_dim", "text_dim", "hidden", "head_hidden",
+                 "labels", "features")
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,11 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> T
 class IntentClassifier:
     """One of the six variants, with its parameters and forward pass.
 
-    forward() accepts batched (B, T, D) arrays with (B, T) masks, or single
-    FeatureSequences; output rank follows input rank. aux carries the raw
-    logits and every attention-weight matrix the variant produces.
+    forward() accepts batched (B, T, D) arrays with (B, T) masks, or one
+    utterance as a FeatureSequence or a (T, D) array with its (T,) mask. It
+    is the one place that turns a single utterance into a batch of 1 and
+    back, so output rank follows input rank. aux carries the raw logits and
+    every attention-weight matrix the variant produces.
     """
 
     def __init__(self, variant: ModelVariant, audio_dim: int, text_dim: int | None = None,
@@ -157,21 +160,10 @@ class IntentClassifier:
     def named_parameters(self) -> dict[str, Tensor]:
         pre = f"model.{self.variant.tag}"
         out: dict[str, Tensor] = {}
-        for sub, bre in (("audio_bre", self.audio_bre), ("text_bre", self.text_bre)):
-            if bre is None:
-                continue
-            for dname, d in (("fwd", bre.fwd), ("bwd", bre.bwd)):
-                out[f"{pre}.{sub}.{dname}.Wx"] = d.Wx
-                out[f"{pre}.{sub}.{dname}.Wh"] = d.Wh
-                out[f"{pre}.{sub}.{dname}.b"] = d.b
-        for sub, att in (("audio_att", self.audio_att), ("text_att", self.text_att),
-                         ("text_xatt", self.text_xatt), ("audio_xatt", self.audio_xatt)):
-            if att is None:
-                continue
-            out[f"{pre}.{sub}.W"] = att.W
-            out[f"{pre}.{sub}.b"] = att.b
-            if att.c is not None:
-                out[f"{pre}.{sub}.c"] = att.c
+        for sub in ("audio_bre", "text_bre", "audio_att", "text_att", "text_xatt", "audio_xatt"):
+            params = getattr(self, sub)
+            if params is not None:
+                out.update(params.named_parameters(f"{pre}.{sub}"))
         out[f"{pre}.head.W1"] = self.W1
         out[f"{pre}.head.b1"] = self.b1
         out[f"{pre}.head.W2"] = self.W2
@@ -207,6 +199,7 @@ class IntentClassifier:
 
 
 def _as_batch(x, mask) -> tuple[Array, Array, bool]:
+    """(data, mask, single): a single utterance becomes a batch of 1."""
     if isinstance(x, FeatureSequence):
         return x.data[None], x.mask[None], True
     data = np.asarray(x, dtype=np.float64)
@@ -236,10 +229,7 @@ def save_model(path, model: IntentClassifier, feature_cfg: FeatureConfig,
         "features": feature_cfg.to_dict(),
         "embedding_path": embedding_path,
     }
-    tmp = f"{path}.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
-    os.replace(tmp, f"{path}.json")
+    checkpoint.write_atomic(f"{path}.json", json.dumps(meta, indent=1).encode("utf-8"))
 
 
 def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
@@ -252,7 +242,14 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
         raise DataError(f"cannot read sidecar {sidecar}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
-    if meta.get("labels") != list(INTENT_LABELS):
+    if not isinstance(meta, dict):
+        raise DataError(f"sidecar {sidecar} must hold a JSON object")
+    for key in _SIDECAR_KEYS:
+        if key not in meta:
+            raise DataError(f"sidecar {sidecar} lacks the key {key!r}")
+    if not isinstance(meta["features"], dict):
+        raise DataError(f"sidecar {sidecar}: 'features' must be a JSON object")
+    if meta["labels"] != list(INTENT_LABELS):
         raise DataError(f"sidecar {sidecar} carries an unknown label order")
     variant = ModelVariant(meta["variant"], meta["text_mode"])
     model = IntentClassifier(variant, meta["audio_dim"], meta["text_dim"],

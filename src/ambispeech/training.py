@@ -147,21 +147,33 @@ def report_from_predictions(truth, pred) -> EvalReport:
     )
 
 
+def per_class_csv(report: EvalReport) -> list[str]:
+    """The per-class precision/recall/F1 block, header first."""
+    lines = ["class,precision,recall,f1"]
+    for i, name in enumerate(INTENT_LABELS):
+        lines.append(f"{name},{report.precision[i]:.6f},{report.recall[i]:.6f},{report.f1[i]:.6f}")
+    return lines
+
+
+def confusion_csv(report: EvalReport, corner: str) -> list[str]:
+    """The confusion block (rows = truth), with `corner` heading the label column."""
+    lines = [corner + "," + ",".join(INTENT_LABELS)]
+    for i, name in enumerate(INTENT_LABELS):
+        lines.append(name + "," + ",".join(str(int(x)) for x in report.confusion[i]))
+    return lines
+
+
 def format_report(report: EvalReport) -> str:
-    """Key:value metrics, a per-class CSV block, and the confusion CSV."""
+    """Key:value metrics, the per-class CSV block, and the confusion CSV block."""
     lines = [
         f"accuracy: {report.accuracy:.6f}",
         f"macro_f1: {report.macro_f1:.6f}",
         f"n_records: {report.n_records}",
         "",
-        "class,precision,recall,f1",
+        *per_class_csv(report),
+        "",
+        *confusion_csv(report, "confusion"),
     ]
-    for i, name in enumerate(INTENT_LABELS):
-        lines.append(f"{name},{report.precision[i]:.6f},{report.recall[i]:.6f},{report.f1[i]:.6f}")
-    lines.append("")
-    lines.append("confusion," + ",".join(INTENT_LABELS))
-    for i, name in enumerate(INTENT_LABELS):
-        lines.append(name + "," + ",".join(str(int(x)) for x in report.confusion[i]))
     return "\n".join(lines) + "\n"
 
 

@@ -23,8 +23,6 @@ def op_check_cases(rng):
         "sum_axis": (lambda a: ad.mean(ad.tanh(ad.sum_axis(a, axis=1, keepdims=True))), [t(3, 4)]),
         "mean": (lambda a: ad.mean(ad.tanh(a)), [t(3, 4)]),
         "concat_last": (lambda a, b: ad.mean(ad.tanh(ad.concat_last([a, b]))), [t(3, 4), t(3, 2)]),
-        "slice_last": (lambda a: ad.mean(ad.tanh(ad.slice_last(a, 1, 3))), [t(3, 4)]),
-        "stack_steps": (lambda a, b: ad.mean(ad.tanh(ad.stack_steps([a, b]))), [t(3, 4), t(3, 4)]),
         "masked_softmax": (
             lambda a, w: ad.mean(ad.mul(ad.masked_softmax(a, np.array([1.0, 1.0, 0.0, 1.0])), w)),
             [t(2, 4), t(2, 4)],

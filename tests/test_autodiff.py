@@ -112,26 +112,6 @@ def test_transpose_rejects_3d():
         ad.transpose(Tensor(np.ones((2, 2, 2))))
 
 
-def test_slice_last_routes_gradient():
-    x = Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
-    ad.mean(ad.slice_last(x, 1, 3)).backward()
-    expected = np.zeros((2, 4))
-    expected[:, 1:3] = 0.25
-    np.testing.assert_allclose(x.grad, expected)
-
-
-def test_stack_steps_layout():
-    rows = [Tensor(np.full((2, 3), float(t))) for t in range(4)]
-    out = ad.stack_steps(rows)
-    assert out.shape == (2, 4, 3)
-    np.testing.assert_array_equal(out.data[:, 2], np.full((2, 3), 2.0))
-
-
-def test_elementwise_dispatcher_rejects_unknown_tag():
-    with pytest.raises(ShapeError):
-        ad.elementwise("conv2d", Tensor(np.ones(2)))
-
-
 def test_gradient_check_validates_eps():
     with pytest.raises(ShapeError):
         ad.gradient_check(lambda t: ad.mean(t), [Tensor(np.ones(3))], eps=0.1)

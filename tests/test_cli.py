@@ -67,6 +67,23 @@ def test_featurize_fills_then_reuses_cache(corpus, capsys):
     assert "computed 0, reused 12" in capsys.readouterr().out
 
 
+def test_featurize_repairs_a_truncated_cache_entry(corpus, trained, capsys):
+    cache = corpus / "cache"
+    victim = sorted(cache.iterdir())[0]
+    raw = victim.read_bytes()
+    victim.write_bytes(raw[: len(raw) // 2])
+    assert cli.main(["featurize", "--config", str(corpus / "cfg.json"),
+                     "--manifest", manifest(corpus), "--cache-dir", str(cache)]) == 0
+    assert "featurized 12/12 records (computed 1, reused 11)" in capsys.readouterr().out
+    assert victim.read_bytes() == raw
+    ft.load_feature_sequence(victim)
+    victim.write_bytes(raw[: len(raw) // 2])
+    assert cli.main(["eval", "--checkpoint", str(trained / "selected.ambi"),
+                     "--manifest", manifest(corpus), "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out.startswith("accuracy: ")
+    assert victim.read_bytes() == raw
+
+
 def test_featurize_reports_unreadable_wavs(corpus, capsys, tmp_path):
     bad = tmp_path / "corpus"
     assert cli.main(["synth", "--out", str(bad), "--n-scripts", "2", "--seed", "2"]) == 0
@@ -187,6 +204,19 @@ def test_eval_alt_transcript_needs_alt_column(corpus, trained):
                      "--use-alt-transcript"]) == 2
 
 
+def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys):
+    ckpt = tmp_path / "m.ambi"
+    ckpt.write_bytes((trained / "selected.ambi").read_bytes())
+    meta = json.loads((trained / "selected.ambi.json").read_text(encoding="utf-8"))
+    del meta["hidden"]
+    (tmp_path / "m.ambi.json").write_text(json.dumps(meta), encoding="utf-8")
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
+                     "--cache-dir", str(corpus / "cache")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'hidden'" in err
+    assert err.count("\n") == 1
+
+
 def test_eval_missing_checkpoint(corpus):
     assert cli.main(["eval", "--checkpoint", str(corpus / "ghost.ambi"),
                      "--manifest", manifest(corpus)]) == 1
@@ -231,6 +261,26 @@ def test_console_script_help():
     assert result.returncode == 0
     for sub in ("synth", "featurize", "train", "eval", "predict"):
         assert sub in result.stdout
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ambispeech import cli, features\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['synth', '--out', out + '/c', '--n-scripts', '1']) == 0\n"
+        "sig = features.AudioSignal(np.linspace(-1.0, 1.0, 800), 16000)\n"
+        "features.write_wav(out + '/ramp.wav', sig)\n"
+        "features.read_wav(out + '/ramp.wav')\n"
+        "assert cli.main(['featurize', '--manifest', out + '/c/manifest.tsv',\n"
+        "                 '--cache-dir', out + '/cache']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_missing_subcommand_is_usage_error():

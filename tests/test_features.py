@@ -1,3 +1,6 @@
+import struct
+import wave
+
 import numpy as np
 import pytest
 
@@ -164,18 +167,6 @@ def test_feature_sequence_rejects_violations():
         ft.FeatureSequence(np.zeros((3, 2)), np.zeros(3))
 
 
-def test_batch_sequences_stacks_and_validates():
-    a = ft.end_align(np.ones((2, 3)), 4)
-    b = ft.end_align(np.ones((4, 3)), 4)
-    data, mask = ft.batch_sequences([a, b])
-    assert data.shape == (2, 4, 3)
-    assert mask.shape == (2, 4)
-    with pytest.raises(ShapeError):
-        ft.batch_sequences([a, ft.end_align(np.ones((2, 2)), 4)])
-    with pytest.raises(EmptyInputError):
-        ft.batch_sequences([])
-
-
 def test_audio_features_shape_and_alignment():
     cfg = ft.FeatureConfig(n_mels=32, n_fft=512, hop=256, audio_t_max=40)
     fs = ft.audio_features(sine(440.0, seconds=0.3), cfg)
@@ -248,11 +239,46 @@ def test_wav_round_trip(tmp_path):
     np.testing.assert_allclose(back.samples, sig.samples, atol=1.0 / 32767)
 
 
+def riff(data: bytes, fmt_tag=1, channels=1, bits=16, rate=16000) -> bytes:
+    """A RIFF/WAVE file with a 16-byte fmt chunk and one data chunk."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * block, block, bits)
+    return (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+            + b"fmt " + struct.pack("<I", 16) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+
+
 def test_read_wav_rejects_non_wav(tmp_path):
-    path = tmp_path / "noise.wav"
-    path.write_bytes(b"not a riff file")
-    with pytest.raises(DataError):
-        ft.read_wav(path)
+    good = tmp_path / "good.wav"
+    ft.write_wav(good, sine(440.0, seconds=0.05, amp=0.6))
+    full = good.read_bytes()
+    inputs = {
+        "noise": b"not a riff file",
+        "pcm8": riff(bytes(range(100)), bits=8),
+        "float32": riff(np.zeros(50, dtype="<f4").tobytes(), fmt_tag=3, bits=32),
+        "half_data": full[: len(full) // 2],
+        "header_only": full[:30],
+    }
+    for name, raw in inputs.items():
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(raw)
+        with pytest.raises(DataError):
+            ft.read_wav(path)
+
+
+def test_read_wav_averages_stereo(tmp_path):
+    left = np.array([1000, -2000, 32767, -32768, 3], dtype="<i2")
+    right = np.array([3000, 2000, 32767, -32768, 0], dtype="<i2")
+    path = tmp_path / "stereo.wav"
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(2)
+        wf.setsampwidth(2)
+        wf.setframerate(8000)
+        wf.writeframes(np.stack([left, right], axis=1).tobytes())
+    sig = ft.read_wav(path)
+    assert sig.sample_rate == 8000
+    expected = (left.astype(np.float64) + right.astype(np.float64)) / 2.0 / 32768.0
+    np.testing.assert_array_equal(sig.samples, expected)
 
 
 # --------------------------------------------------------------------- cache
@@ -274,7 +300,12 @@ def test_feature_cache_rejects_corruption(tmp_path):
     raw = path.read_bytes()
     (tmp_path / "bad1.ambf").write_bytes(b"XXXXX" + raw[5:])
     (tmp_path / "bad2.ambf").write_bytes(raw[:-3])
+    bad_mask = bytearray(raw)
+    bad_mask[-1] = 7  # a mask byte that is neither 0 nor 1
+    (tmp_path / "bad3.ambf").write_bytes(bytes(bad_mask))
     with pytest.raises(DataError, match="magic"):
         ft.load_feature_sequence(tmp_path / "bad1.ambf")
     with pytest.raises(DataError):
         ft.load_feature_sequence(tmp_path / "bad2.ambf")
+    with pytest.raises(DataError):
+        ft.load_feature_sequence(tmp_path / "bad3.ambf")
