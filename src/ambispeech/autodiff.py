@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-Graphs are define-by-run: every op returns a fresh Tensor and, when any
-operand participates in differentiation, records a closure that routes the
-output gradient back to its parents. backward() replays those closures in
-reverse topological order, visiting each node exactly once.
+Graphs are define-by-run: every op returns a fresh Tensor, and backward()
+replays the recorded closures in reverse topological order, visiting each
+node exactly once. Two helpers hold the whole tape rule, so no op reads
+requires_grad: _node records a result, with its closure and the parents
+that require grad, only when some parent requires grad; _accum drops any
+gradient routed to a tensor that does not require grad.
 """
 
 from __future__ import annotations
@@ -92,13 +94,16 @@ def _wrap(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: Array) -> None:
-    t.grad = g if t.grad is None else t.grad + g
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], None]) -> Tensor:
-    out = Tensor(data, requires_grad=True)
-    out._parents = tuple(p for p in parents if p.requires_grad)
-    out._backward = backward
+    taped = tuple(p for p in parents if p.requires_grad)
+    out = Tensor(data, requires_grad=bool(taped))
+    if taped:
+        out._parents = taped
+        out._backward = backward
     return out
 
 
@@ -121,14 +126,10 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out_data = a.data @ b.data
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
     return _node(out_data, (a, b), backward)
 
@@ -136,14 +137,10 @@ def matmul(a, b) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out_data = a.data + b.data
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(g, b.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -151,14 +148,10 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out_data = a.data * b.data
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, _unbroadcast(g * b.data, a.shape))
+        _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -169,8 +162,6 @@ def mul(a, b) -> Tensor:
 def tanh(a) -> Tensor:
     a = _wrap(a)
     out_data = np.tanh(a.data)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         _accum(a, g * (1.0 - out_data * out_data))
@@ -184,8 +175,6 @@ def sigmoid(a) -> Tensor:
     x = a.data
     out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         _accum(a, g * out_data * (1.0 - out_data))
@@ -196,8 +185,6 @@ def sigmoid(a) -> Tensor:
 def relu(a) -> Tensor:
     a = _wrap(a)
     out_data = np.maximum(a.data, 0.0)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         _accum(a, g * (a.data > 0.0))
@@ -209,8 +196,6 @@ def log(a) -> Tensor:
     """Natural log; caller guarantees positive inputs (see clip_min)."""
     a = _wrap(a)
     out_data = np.log(a.data)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         _accum(a, g / a.data)
@@ -222,8 +207,6 @@ def clip_min(a, floor: float) -> Tensor:
     """max(a, floor) elementwise; gradient flows only where a > floor."""
     a = _wrap(a)
     out_data = np.maximum(a.data, floor)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         _accum(a, g * (a.data > floor))
@@ -237,8 +220,6 @@ def clip_min(a, floor: float) -> Tensor:
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _wrap(a)
     out_data = a.data.reshape(shape)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         _accum(a, g.reshape(a.shape))
@@ -251,8 +232,6 @@ def transpose(a) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.shape}")
     out_data = a.data.T
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         _accum(a, g.T)
@@ -263,8 +242,6 @@ def transpose(a) -> Tensor:
 def sum_axis(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         if axis is None:
@@ -280,8 +257,6 @@ def mean(a) -> Tensor:
     a = _wrap(a)
     n = a.data.size
     out_data = np.asarray(a.data.mean())
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         _accum(a, np.full(a.shape, float(g) / n))
@@ -295,15 +270,12 @@ def concat_last(parts: Sequence) -> Tensor:
     if not ts:
         raise ShapeError("concat_last needs at least one operand")
     out_data = np.concatenate([t.data for t in ts], axis=-1)
-    if not any(t.requires_grad for t in ts):
-        return Tensor(out_data)
     widths = [t.shape[-1] for t in ts]
     offsets = np.cumsum([0] + widths)
 
     def backward(g: Array) -> None:
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                _accum(t, g[..., lo:hi])
+            _accum(t, g[..., lo:hi])
 
     return _node(out_data, ts, backward)
 
@@ -329,8 +301,6 @@ def masked_softmax(scores, mask) -> Tensor:
     mx = shifted.max(axis=-1, keepdims=True)
     e = np.where(m == 1.0, np.exp(s.data - mx), 0.0)
     out_data = e / e.sum(axis=-1, keepdims=True)
-    if not s.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         dot = (g * out_data).sum(axis=-1, keepdims=True)

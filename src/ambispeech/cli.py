@@ -242,6 +242,14 @@ def _write_plot_csvs(out_dir: str, report: tr.EvalReport) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
+def _checkpoint_table(args, meta: dict) -> ft.EmbeddingTable:
+    """The embedding table of a dense checkpoint: --embedding, else the sidecar's path."""
+    path = args.embedding or meta.get("embedding_path")
+    if path is None:
+        raise ConfigError("dense checkpoint without an embedding table path")
+    return cp.load_embedding_table(path)
+
+
 def cmd_eval(args) -> int:
     model, fcfg, meta = md.load_model(args.checkpoint)
     cfg = _load_config(args.config)
@@ -250,12 +258,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs a manifest (flag or config)")
     records = cp.load_manifest(manifest)
     base_dir = os.path.dirname(os.path.abspath(manifest))
-    table = None
-    if meta["text_mode"] == "dense":
-        path = args.embedding or meta.get("embedding_path")
-        if path is None:
-            raise ConfigError("dense checkpoint without an embedding table path")
-        table = cp.load_embedding_table(path)
+    table = _checkpoint_table(args, meta) if meta["text_mode"] == "dense" else None
     examples, _ = _featurize(records, fcfg, meta["text_mode"], table,
                              _cache_dir(args, cfg), base_dir,
                              use_alt=args.use_alt_transcript)
@@ -280,10 +283,7 @@ def cmd_predict(args) -> int:
         if meta["text_mode"] == "sparse":
             text_fs = ft.encode_sparse(args.transcript, fcfg.text_t_max)
         else:
-            path = args.embedding or meta.get("embedding_path")
-            if path is None:
-                raise ConfigError("dense checkpoint without an embedding table path")
-            text_fs = ft.encode_dense(args.transcript, cp.load_embedding_table(path),
+            text_fs = ft.encode_dense(args.transcript, _checkpoint_table(args, meta),
                                       fcfg.text_t_max)
     probs, aux = model.forward(audio_fs, text=text_fs)
     attention = {}

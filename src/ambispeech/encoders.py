@@ -95,6 +95,7 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> T
     h_size = Wh.shape[0]
     order = range(T - 1, -1, -1) if reverse else range(T)
 
+    # keep the BPTT stash only when some weight will take a gradient
     needs_grad = d.Wx.requires_grad or d.Wh.requires_grad or d.b.requires_grad
     h = np.zeros((B, h_size))
     c = np.zeros((B, h_size))
@@ -116,8 +117,6 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> T
         h = np.where(mb, h_cand, h)
         c = np.where(mb, c_cand, c)
     packed[:, T] = h
-    if not needs_grad:
-        return Tensor(packed)
 
     def backward(grad: Array) -> None:
         dh = grad[:, T].copy()
@@ -143,12 +142,9 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> T
             db += dpre.sum(axis=0)
             dh = dpre @ Wh.T + dh_carry
             dc = dc_cand * f + dc_carry
-        if d.Wx.requires_grad:
-            ad._accum(d.Wx, dWx)
-        if d.Wh.requires_grad:
-            ad._accum(d.Wh, dWh)
-        if d.b.requires_grad:
-            ad._accum(d.b, db)
+        ad._accum(d.Wx, dWx)
+        ad._accum(d.Wh, dWh)
+        ad._accum(d.b, db)
 
     return ad._node(packed, (d.Wx, d.Wh, d.b), backward)
 
@@ -159,8 +155,6 @@ def slice_time(a, start: int, stop: int) -> Tensor:
     if a.ndim != 3:
         raise ShapeError(f"slice_time expects a 3-D tensor, got shape {a.shape}")
     out_data = a.data[:, start:stop].copy()
-    if not a.requires_grad:
-        return Tensor(out_data)
 
     def backward(g: Array) -> None:
         full = np.zeros(a.shape)

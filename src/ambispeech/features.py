@@ -9,6 +9,7 @@ whose valid rows sit at the END, described by a 0/1 mask.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import wave
@@ -198,24 +199,36 @@ def mel_to_hz(m) -> Array:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_edges_hz(sample_rate: int, n_mels: int) -> Array:
+    """n_mels + 2 filter edges, equally spaced on the mel scale from 0 Hz to Nyquist."""
+    return mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_filterbank(sample_rate: int, n_fft: int, n_mels: int) -> Array:
+    """The filterbank of one front-end config, built once and read-only."""
+    edges_hz = _mel_edges_hz(sample_rate, n_mels)
+    fft_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    lo, center, hi = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
+    rising = (fft_freqs[None, :] - lo) / (center - lo)
+    falling = (hi - fft_freqs[None, :]) / (hi - center)
+    fb = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False
+    return fb
+
+
 def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int) -> Array:
     """Unnormalized triangular filters, shape (n_mels, n_fft//2 + 1).
 
     Filter edges are equally spaced on the mel scale from 0 Hz to Nyquist;
     each triangle peaks at 1 at its center.
     """
-    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
-    fft_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    lo, center, hi = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
-    rising = (fft_freqs[None, :] - lo) / (center - lo)
-    falling = (hi - fft_freqs[None, :]) / (hi - center)
-    return np.clip(np.minimum(rising, falling), 0.0, None)
+    return _cached_filterbank(sample_rate, n_fft, n_mels).copy()
 
 
 def mel_center_frequencies(sample_rate: int, n_fft: int, n_mels: int) -> Array:
     """Peak frequency of each mel filter, in Hz."""
-    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
-    return edges_hz[1:-1]
+    return _mel_edges_hz(sample_rate, n_mels)[1:-1]
 
 
 def stft_power(signal: AudioSignal, n_fft: int, hop: int) -> Array:
@@ -239,8 +252,7 @@ def mel_spectrogram(signal: AudioSignal, n_fft: int, hop: int, n_mels: int) -> A
     if n_mels < 1:
         raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
     power = stft_power(signal, n_fft, hop)
-    fb = mel_filterbank(signal.sample_rate, n_fft, n_mels)
-    return power @ fb.T
+    return power @ _cached_filterbank(signal.sample_rate, n_fft, n_mels).T
 
 
 def audio_frame_matrix(signal: AudioSignal, cfg: FeatureConfig) -> Array:

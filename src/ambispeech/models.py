@@ -249,6 +249,14 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
             raise DataError(f"sidecar {sidecar} lacks the key {key!r}")
     if not isinstance(meta["features"], dict):
         raise DataError(f"sidecar {sidecar}: 'features' must be a JSON object")
+    for key in ("variant", "text_mode"):
+        if not isinstance(meta[key], str):
+            raise DataError(f"sidecar {sidecar}: {key!r} must be a string, got {meta[key]!r}")
+    for key in ("audio_dim", "text_dim", "hidden", "head_hidden"):
+        value = meta[key]
+        # type() rather than isinstance(): JSON true must not pass as 1
+        if not (type(value) is int and value >= 1 or key == "text_dim" and value is None):
+            raise DataError(f"sidecar {sidecar}: {key!r} must be a positive integer, got {value!r}")
     if meta["labels"] != list(INTENT_LABELS):
         raise DataError(f"sidecar {sidecar} carries an unknown label order")
     variant = ModelVariant(meta["variant"], meta["text_mode"])

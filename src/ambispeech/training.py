@@ -207,13 +207,21 @@ class _Arrays:
 
 def predict_batch(model: IntentClassifier, examples: list[Example],
                   batch_size: int = 256) -> tuple[Array, Array]:
-    """(probs (N, 7), argmax predictions (N,)) without building gradients."""
+    """(probs (N, 7), argmax predictions (N,)) without building gradients:
+    the parameters stop requiring grad for the call, so no tape is kept."""
     arrs = _Arrays(examples)
-    probs = np.empty((len(arrs), N_CLASSES))
-    for lo in range(0, len(arrs), batch_size):
-        idx = np.arange(lo, min(lo + batch_size, len(arrs)))
-        p, _ = arrs.forward(model, idx)
-        probs[idx] = p.data
+    params = [p for p in model.parameters() if p.requires_grad]
+    for p in params:
+        p.requires_grad = False
+    try:
+        probs = np.empty((len(arrs), N_CLASSES))
+        for lo in range(0, len(arrs), batch_size):
+            idx = np.arange(lo, min(lo + batch_size, len(arrs)))
+            batch_probs, _ = arrs.forward(model, idx)
+            probs[idx] = batch_probs.data
+    finally:
+        for p in params:
+            p.requires_grad = True
     return probs, probs.argmax(axis=1)
 
 

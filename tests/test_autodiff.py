@@ -4,6 +4,7 @@ from gradcases import op_check_cases
 
 from ambispeech import autodiff as ad
 from ambispeech.autodiff import Tensor
+from ambispeech.encoders import slice_time
 from ambispeech.errors import DegenerateMaskError, ShapeError
 
 
@@ -48,6 +49,10 @@ def test_grad_accumulates_across_reuse():
     assert float(x.grad) == pytest.approx(5.0)
 
 
+def _untaped(t):
+    return t._parents == () and t._backward is None and not t.requires_grad
+
+
 def test_constant_inputs_record_no_parents():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
@@ -55,6 +60,23 @@ def test_constant_inputs_record_no_parents():
     assert out._parents == ()
     assert out._backward is None
     assert not out.requires_grad
+    for name, (fn, inputs) in op_check_cases(np.random.default_rng(1)).items():
+        for t in inputs:
+            t.requires_grad = False
+        assert _untaped(fn(*inputs)), name
+    assert _untaped(slice_time(Tensor(np.ones((2, 3, 4))), 1, 2))
+
+
+@pytest.mark.parametrize("name", ["matmul", "add", "mul", "concat_last"])
+def test_constant_operand_gets_no_grad(name):
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    const = Tensor(np.full((3, 3) if name == "matmul" else (2, 3), 0.5))
+    op = ad.REGISTERED_OPS[name]
+    out = op([x, const]) if name == "concat_last" else op(x, const)
+    assert out._parents == (x,)
+    ad.mean(out).backward()
+    assert x.grad is not None
+    assert const.grad is None
 
 
 def test_deep_chain_does_not_recurse():

@@ -204,16 +204,33 @@ def test_eval_alt_transcript_needs_alt_column(corpus, trained):
                      "--use-alt-transcript"]) == 2
 
 
-def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys):
+_MISSING = object()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hidden", _MISSING),
+    ("hidden", "abc"),
+    ("hidden", 0),
+    ("head_hidden", True),
+    ("audio_dim", 12.5),
+    ("text_dim", "64"),
+    ("variant", 3),
+    ("text_mode", None),
+], ids=["hidden-missing", "hidden-str", "hidden-zero", "head_hidden-bool", "audio_dim-float",
+        "text_dim-str", "variant-int", "text_mode-null"])
+def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, key, value):
     ckpt = tmp_path / "m.ambi"
     ckpt.write_bytes((trained / "selected.ambi").read_bytes())
     meta = json.loads((trained / "selected.ambi.json").read_text(encoding="utf-8"))
-    del meta["hidden"]
+    if value is _MISSING:
+        del meta[key]
+    else:
+        meta[key] = value
     (tmp_path / "m.ambi.json").write_text(json.dumps(meta), encoding="utf-8")
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
                      "--cache-dir", str(corpus / "cache")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'hidden'" in err
+    assert err.startswith("error: ") and f"'{key}'" in err
     assert err.count("\n") == 1
 
 
@@ -250,6 +267,21 @@ def test_predict_requires_transcript_for_text_models(corpus, trained):
     wav = str(corpus / "corpus" / "wav" / "syn0000a.wav")
     assert cli.main(["predict", "--checkpoint", str(trained / "selected.ambi"),
                      "--wav", wav]) == 2
+
+
+def test_dense_checkpoint_needs_an_embedding_table(corpus, trained, tmp_path, capsys):
+    ckpt = tmp_path / "d.ambi"
+    ckpt.write_bytes((trained / "selected.ambi").read_bytes())
+    meta = json.loads((trained / "selected.ambi.json").read_text(encoding="utf-8"))
+    meta["text_mode"] = "dense"
+    (tmp_path / "d.ambi.json").write_text(json.dumps(meta), encoding="utf-8")
+    wav = str(corpus / "corpus" / "wav" / "syn0000a.wav")
+    for argv in (["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
+                  "--cache-dir", str(corpus / "cache")],
+                 ["predict", "--checkpoint", str(ckpt), "--wav", wav, "--transcript", "가나"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: dense checkpoint without an embedding table path\n"
 
 
 # ------------------------------------------------------------- entry points

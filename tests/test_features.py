@@ -79,6 +79,27 @@ def test_filterbank_shape_and_peaks():
     assert np.all(fb.max(axis=1) > 0.5)
 
 
+def test_filterbank_is_built_once_and_read_only():
+    cached = ft._cached_filterbank(16000, 1024, 40)
+    assert ft._cached_filterbank(16000, 1024, 40) is cached
+    assert not cached.flags.writeable
+    fresh = ft.mel_filterbank(16000, 1024, 40)
+    assert fresh.flags.writeable and fresh is not cached
+    np.testing.assert_array_equal(fresh, cached)
+    fresh[:] = 0.0
+    np.testing.assert_array_equal(ft.mel_filterbank(16000, 1024, 40), cached)
+
+
+def test_frame_matrix_matches_the_uncached_formula():
+    cfg = ft.FeatureConfig(n_mels=40, n_fft=1024, hop=256)
+    rng = np.random.default_rng(12)
+    sig = ft.AudioSignal(rng.normal(size=8000) * 0.1, 16000)
+    mel = ft.stft_power(sig, 1024, 256) @ ft.mel_filterbank(16000, 1024, 40).T
+    expected = np.hstack([np.log1p(mel), ft.rmse_frames(sig, 1024, 256)[:, None]])
+    for _ in range(2):
+        np.testing.assert_array_equal(ft.audio_frame_matrix(sig, cfg), expected)
+
+
 def test_mel_of_silence_is_zero():
     sig = ft.AudioSignal(np.zeros(4096), 16000)
     np.testing.assert_array_equal(ft.mel_spectrogram(sig, 1024, 256, 40), 0.0)

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ambispeech import autodiff as ad
 from ambispeech import training as tr
 from ambispeech.autodiff import Tensor
 from ambispeech.corpus import Example, INTENT_LABELS
-from ambispeech.errors import ConfigError, LabelError
+from ambispeech.errors import ConfigError, LabelError, ModalityError
 from ambispeech.features import end_align
 from ambispeech.models import IntentClassifier, ModelVariant
 
@@ -376,6 +377,59 @@ def test_selected_snapshot_restores_reported_accuracy():
 def test_evaluate_rejects_empty():
     with pytest.raises(ConfigError):
         tr.evaluate(tiny_model(), [])
+
+
+VARIANTS = [("audio_bre", "none"), ("audio_bre_att", "none"), ("para_bre_att", "sparse"),
+            ("mha_a", "sparse"), ("mha_at", "sparse"), ("ca", "sparse")]
+
+
+def variant_and_examples(tag, text_mode, rng):
+    examples = make_examples(9, rng)
+    text = text_mode != "none"
+    if text:
+        examples = [replace(e, text=end_align(rng.normal(size=(int(rng.integers(1, 5)), 4)), 4))
+                    for e in examples]
+    model = IntentClassifier(ModelVariant(tag, text_mode), audio_dim=5,
+                             text_dim=4 if text else None, hidden=4, head_hidden=8, seed=1)
+    return model, examples
+
+
+@pytest.mark.parametrize("tag, text_mode", VARIANTS)
+def test_predict_batch_matches_taped_forward_and_records_no_tape(tag, text_mode, monkeypatch):
+    model, examples = variant_and_examples(tag, text_mode, np.random.default_rng(21))
+    arrs = tr._Arrays(examples)
+    taped, _ = arrs.forward(model, np.arange(len(arrs)))
+    tr.cross_entropy(taped, arrs.labels).backward()
+    grads = {name: p.grad for name, p in model.named_parameters().items()}
+    assert all(g is not None for g in grads.values())
+
+    recorded = []
+    real_node = ad._node
+
+    def spy(data, parents, backward):
+        out = real_node(data, parents, backward)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "_node", spy)
+    probs, preds = tr.predict_batch(model, examples)
+    assert recorded and not any(recorded)
+    assert np.array_equal(probs, taped.data)
+    assert np.array_equal(preds, taped.data.argmax(axis=1))
+    for name, p in model.named_parameters().items():
+        assert p.requires_grad and p.grad is grads[name], name
+
+
+def test_predict_batch_restores_flags_when_forward_raises():
+    model, examples = variant_and_examples("mha_a", "sparse", np.random.default_rng(22))
+    audio_only = [replace(e, text=None) for e in examples]
+    params = model.parameters()
+    params[0].grad = marker = np.ones(params[0].shape)
+    with pytest.raises(ModalityError):
+        tr.predict_batch(model, audio_only)
+    assert all(p.requires_grad for p in params)
+    assert params[0].grad is marker
+    assert all(p.grad is None for p in params[1:])
 
 
 def test_log_lines_format():
