@@ -45,7 +45,7 @@ for tag in ("audio_bre", "mha_a"):
                              audio_dim=resolved.audio_dim,
                              text_dim=examples[0].text.dim if text_mode != "none" else None,
                              hidden=16, head_hidden=32, seed=tcfg.seed)
-    records = train(model, ex_tr, tcfg, eval_records=ex_te)
+    records = train(model, ex_tr, ex_te, tcfg)
     best = select_checkpoint(records)
     model.load_state(best.checkpoint)
     report = evaluate(model, ex_te)

@@ -31,7 +31,7 @@ model = IntentClassifier(ModelVariant.parse("mha_a", "sparse"),
                          audio_dim=resolved.audio_dim,
                          text_dim=examples[0].text.dim,
                          hidden=16, head_hidden=32, seed=11)
-records = train(model, examples, tcfg, snapshot=False, eval_records=examples)
+records = train(model, examples, examples, tcfg)
 print(f"train accuracy after {tcfg.max_epochs} epochs: {records[-1].accuracy:.3f}")
 
 # Forward one example of each label from the same script and dump the

@@ -15,7 +15,7 @@ from .encoders import (AttentionParams, BREParams, attend, bre_forward,
                        init_attention, init_bre, self_attentive_pool)
 from .errors import (ConfigError, DataError, DegenerateMaskError,
                      EmptyInputError, LabelError, ManifestError,
-                     ModalityError, ShapeError)
+                     ModalityError, NonFiniteError, ShapeError)
 from .features import (AudioSignal, EmbeddingTable, FeatureConfig,
                        FeatureSequence, audio_features, encode_dense,
                        encode_sparse, end_align, load_feature_sequence,
@@ -38,6 +38,7 @@ __all__ = [
     "EpochRecord", "EvalReport", "Example", "FeatureConfig",
     "FeatureSequence", "INTENT_LABELS", "IntentClassifier", "IntentLabel",
     "LabelError", "ManifestError", "ModalityError", "ModelVariant",
+    "NonFiniteError",
     "REGISTERED_OPS", "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig",
     "UtteranceRecord", "VARIANT_TAGS", "attend", "audio_features",
     "bre_forward", "char_row", "compose", "concat_last",

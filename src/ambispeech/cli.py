@@ -83,7 +83,7 @@ def _cache_key(wav_bytes: bytes, fcfg: ft.FeatureConfig) -> str:
     return hashlib.sha256(tag.encode() + wav_bytes).hexdigest()
 
 
-def _caching_frame_loader(fcfg: ft.FeatureConfig, cache_dir: str | None, base_dir: str,
+def _caching_frame_loader(fcfg: ft.FeatureConfig, cache_dir: str, base_dir: str,
                           counters: dict | None = None):
     """Frame loader for featurize_corpus that reads/writes the cache.
 
@@ -92,14 +92,11 @@ def _caching_frame_loader(fcfg: ft.FeatureConfig, cache_dir: str | None, base_di
     has loaded; a corrupt one is recomputed, overwritten and counted as
     computed.
     """
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
+    os.makedirs(cache_dir, exist_ok=True)
     counters = {} if counters is None else counters
 
     def load(record: cp.UtteranceRecord) -> np.ndarray:
         path = os.path.join(base_dir, record.audio)
-        if cache_dir is None:
-            return ft.audio_frame_matrix(ft.read_wav(path), fcfg)
         with open(path, "rb") as fh:
             key = _cache_key(fh.read(), fcfg)
         entry = os.path.join(cache_dir, key + ".ambf")
@@ -119,11 +116,11 @@ def _caching_frame_loader(fcfg: ft.FeatureConfig, cache_dir: str | None, base_di
     return load
 
 
-def _featurize(records, fcfg, text_mode, table, cache_dir, base_dir,
-               use_alt=False, counters=None):
-    loader = _caching_frame_loader(fcfg, cache_dir, base_dir, counters)
+def _featurize(records, fcfg, text_mode, table, cache_dir, base_dir, use_alt=False):
+    loader = None if cache_dir is None else _caching_frame_loader(fcfg, cache_dir, base_dir)
     return cp.featurize_corpus(records, fcfg, text_mode, table=table,
-                               use_alt_transcript=use_alt, frame_loader=loader)
+                               use_alt_transcript=use_alt, frame_loader=loader,
+                               base_dir=base_dir)
 
 
 # -------------------------------------------------------------- subcommands
@@ -169,8 +166,7 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def _build_run(args):
-    """Shared train-time assembly: records, examples, model, configs."""
+def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     variant = md.ModelVariant.parse(
         args.variant or cfg.get("variant", ""),
@@ -203,11 +199,6 @@ def _build_run(args):
         head_hidden=msec.get("head_hidden", 128),
         seed=tcfg.seed,
     )
-    return cfg, variant, fcfg, tcfg, resolved, examples, model, embedding_path
-
-
-def cmd_train(args) -> int:
-    (cfg, variant, _fcfg, tcfg, resolved, examples, model, embedding_path) = _build_run(args)
     out_dir = _path_opt(args, cfg, "out", "out_dir")
     if out_dir is None:
         raise ConfigError("train needs an output dir (flag or config)")
@@ -216,13 +207,15 @@ def cmd_train(args) -> int:
 
     train_set, test_set = tr.split_records(examples, tcfg.split_ratio, tcfg.seed,
                                            tcfg.group_by_script)
-    records = tr.train(model, train_set, tcfg, checkpoint_dir=ckpt_dir,
-                       eval_records=test_set)
+    epochs = tr.train(model, train_set, test_set, tcfg)
     with open(os.path.join(out_dir, "log.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(tr.log_lines(records)) + "\n")
+        fh.write("\n".join(tr.log_lines(epochs)) + "\n")
+    for r in epochs:
+        if r.checkpoint is not None:
+            ck.save_params(os.path.join(ckpt_dir, f"epoch_{r.epoch:03d}.ambi"), r.checkpoint)
 
-    chosen = tr.select_checkpoint(records)
-    model.load_state(ck.load_params(chosen.checkpoint))
+    chosen = tr.select_checkpoint(epochs)
+    model.load_state(chosen.checkpoint)
     md.save_model(os.path.join(out_dir, "selected.ambi"), model, resolved,
                   embedding_path=embedding_path)
     report = tr.evaluate(model, test_set)

@@ -26,6 +26,10 @@ class ModalityError(ConfigError):
     """Inputs supplied to a model do not match its modality."""
 
 
+class NonFiniteError(ConfigError):
+    """Training produced a non-finite loss or gradient; message names the epoch and batch."""
+
+
 class LabelError(ValueError):
     """A class label is outside the known label set."""
 

@@ -62,6 +62,13 @@ class FeatureConfig:
     text_t_max: int | None = None
 
     def __post_init__(self):
+        # type() rather than isinstance(): JSON true must not pass as 1
+        for name in ("sample_rate", "n_fft", "hop", "n_mels", "audio_t_max", "text_t_max"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name.endswith("t_max") and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if type(self.log_mel) is not bool:
+            raise ConfigError(f"log_mel must be true or false, got {self.log_mel!r}")
         if self.hop <= 0:
             raise ConfigError(f"hop must be positive, got {self.hop}")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):

@@ -259,8 +259,12 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
             raise DataError(f"sidecar {sidecar}: {key!r} must be a positive integer, got {value!r}")
     if meta["labels"] != list(INTENT_LABELS):
         raise DataError(f"sidecar {sidecar} carries an unknown label order")
-    variant = ModelVariant(meta["variant"], meta["text_mode"])
-    model = IntentClassifier(variant, meta["audio_dim"], meta["text_dim"],
-                             hidden=meta["hidden"], head_hidden=meta["head_hidden"])
+    try:  # well-typed values that do not fit together are corrupt state, not config
+        variant = ModelVariant(meta["variant"], meta["text_mode"])
+        model = IntentClassifier(variant, meta["audio_dim"], meta["text_dim"],
+                                 hidden=meta["hidden"], head_hidden=meta["head_hidden"])
+        fcfg = FeatureConfig.from_dict(meta["features"])
+    except ConfigError as exc:
+        raise DataError(f"sidecar {sidecar}: {exc}") from exc
     model.load_state(checkpoint.load_params(path))
-    return model, FeatureConfig.from_dict(meta["features"]), meta
+    return model, fcfg, meta

@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import checkpoint as ckpt
 from .autodiff import Tensor
 from .corpus import Example, INTENT_LABELS
-from .errors import ConfigError, LabelError
+from .errors import ConfigError, LabelError, NonFiniteError
 from .models import IntentClassifier
 
 Array = np.ndarray
 
 N_CLASSES = len(INTENT_LABELS)
+TOP_K = 5  # the pool size of select_checkpoint, and so the epochs train keeps a state for
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class EpochRecord:
     epoch: int  # 1-based
     accuracy: float
     macro_f1: float
-    checkpoint: object  # path, in-memory state dict, or None
+    checkpoint: dict | None  # parameter state while the epoch is in the running top TOP_K
     mean_loss: float
 
 
@@ -287,28 +286,23 @@ def hash_str(s: str) -> int:
 # ------------------------------------------------------------------ training
 
 
-def train(model: IntentClassifier, dataset: list[Example], cfg: TrainConfig,
-          checkpoint_dir=None, snapshot: bool = True, eval_records=None,
-          batch_hook=None) -> list[EpochRecord]:
-    """Optimize for cfg.max_epochs, evaluating after every epoch.
+def train(model: IntentClassifier, train_set: list[Example], eval_set: list[Example],
+          cfg: TrainConfig, batch_hook=None) -> list[EpochRecord]:
+    """Optimize on all of train_set for cfg.max_epochs, scoring eval_set
+    after every epoch (the overfit protocol passes one list twice).
 
-    The dataset is split per cfg unless eval_records is given, in which
-    case all of `dataset` is trained on and `eval_records` scored (the
-    overfit protocol passes the same list twice). Checkpoints go to
-    checkpoint_dir when set, otherwise live as in-memory state dicts;
-    snapshot=False keeps metrics only. batch_hook(epoch, batch_index,
-    record_ids, loss) observes every optimization step. Deterministic for
-    a fixed cfg.seed.
+    A record holds a copy of the parameters only while its epoch is in the
+    top TOP_K by (accuracy, epoch). select_checkpoint always picks from
+    that set, and an epoch that leaves it never returns, so the pick holds
+    its state. batch_hook(epoch, batch_index, record_ids, loss) observes
+    every optimization step. A non-finite loss or gradient norm raises
+    NonFiniteError before the step. Deterministic for a fixed cfg.seed.
     """
-    if eval_records is None:
-        train_set, test_set = split_records(dataset, cfg.split_ratio, cfg.seed,
-                                            cfg.group_by_script)
-    else:
-        train_set, test_set = list(dataset), list(eval_records)
-    if not train_set or not test_set:
+    if not train_set or not eval_set:
         raise ConfigError("empty train or eval set")
     arrs = _Arrays(train_set)
-    opt = Adam(model.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    params = model.parameters()
+    opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     records: list[EpochRecord] = []
     for epoch in range(1, cfg.max_epochs + 1):
         rng = np.random.default_rng([cfg.seed, 15485863, epoch])
@@ -320,31 +314,38 @@ def train(model: IntentClassifier, dataset: list[Example], cfg: TrainConfig,
             loss = cross_entropy(probs, arrs.labels[idx])
             opt.zero_grad()
             loss.backward()
+            value = loss.item()
+            grad_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params if p.grad is not None)
+            if not (np.isfinite(value) and np.isfinite(grad_sq)):
+                raise NonFiniteError(f"epoch {epoch}, batch {b}: loss {value} and gradient "
+                                     f"norm {np.sqrt(grad_sq)} must be finite")
             opt.step()
-            losses.append(loss.item())
+            losses.append(value)
             if batch_hook is not None:
-                batch_hook(epoch, b, [arrs.ids[i] for i in idx], losses[-1])
-        report = evaluate(model, test_set)
-        if checkpoint_dir is not None:
-            ref = os.path.join(checkpoint_dir, f"epoch_{epoch:03d}.ambi")
-            ckpt.save_params(ref, model.state())
-        elif snapshot:
-            ref = {k: v.copy() for k, v in model.state().items()}
-        else:
-            ref = None
-        records.append(EpochRecord(epoch, report.accuracy, report.macro_f1, ref,
+                batch_hook(epoch, b, [arrs.ids[i] for i in idx], value)
+        report = evaluate(model, eval_set)
+        state = {k: v.copy() for k, v in model.state().items()}
+        records.append(EpochRecord(epoch, report.accuracy, report.macro_f1, state,
                                    float(np.mean(losses))))
+        _keep_top_k(records)
     return records
 
 
+def _keep_top_k(records: list[EpochRecord]) -> None:
+    """Drop the state of the record that has just left the top TOP_K by (accuracy, epoch)."""
+    held = [r for r in records if r.checkpoint is not None]
+    if len(held) > TOP_K:
+        min(held, key=lambda r: (r.accuracy, r.epoch)).checkpoint = None
+
+
 def select_checkpoint(records: list[EpochRecord]) -> EpochRecord:
-    """Intersect the 5-best-accuracy and 5-best-F1 epochs; pick the highest
+    """Intersect the TOP_K-best-accuracy and TOP_K-best-F1 epochs; pick the highest
     accuracy there (ties toward later epochs); fall back to plain argmax
     accuracy when the intersection is empty. Rank-based, so invariant
     under monotone rescaling of either metric."""
     if not records:
         raise ConfigError("no epoch records to select from")
-    k = min(5, len(records))
+    k = min(TOP_K, len(records))
 
     def top(key) -> set[int]:
         ranked = sorted(records, key=lambda r: (key(r), r.epoch), reverse=True)

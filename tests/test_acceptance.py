@@ -75,7 +75,7 @@ def run_overfit_protocol(examples):
     for tag in md.VARIANT_TAGS:
         ex = examples if tag not in md.AUDIO_ONLY_TAGS else strip_text(examples)
         model = build_model(tag, ex, seed=OVERFIT_TRAIN.seed)
-        records = tr.train(model, ex, OVERFIT_TRAIN, snapshot=False, eval_records=ex)
+        records = tr.train(model, ex, ex, OVERFIT_TRAIN)
         logs[tag] = tr.log_lines(records)
     return logs
 
@@ -91,8 +91,7 @@ def run_separation_protocol(examples):
         else:
             ex_tr, ex_te = train_set, test_set
         model = build_model(tag, ex_tr, seed=SEPARATION_TRAIN.seed)
-        records = tr.train(model, ex_tr, SEPARATION_TRAIN, snapshot=False,
-                           eval_records=ex_te)
+        records = tr.train(model, ex_tr, ex_te, SEPARATION_TRAIN)
         finals[tag] = records[-1].accuracy
         logs[tag] = tr.log_lines(records)
     return finals, logs
@@ -347,7 +346,7 @@ def test_criterion_7_recorded_corpus_reproduction(capsys):
             audio_dim=ex_tr[0].audio.dim,
             text_dim=ex_tr[0].text.dim if ex_tr[0].text is not None else None,
             seed=tcfg.seed)
-        epoch_records = tr.train(model, ex_tr, tcfg, eval_records=ex_te)
+        epoch_records = tr.train(model, ex_tr, ex_te, tcfg)
         scores[tag] = 100.0 * tr.select_checkpoint(epoch_records).accuracy
     ordering = (scores["audio_bre"] < scores["audio_bre_att"]
                 < min(scores["para_bre_att"], scores["mha_a"]))

@@ -149,6 +149,31 @@ def test_train_same_seed_reproduces_log(corpus, trained):
     assert (out2 / "log.csv").read_bytes() == (trained / "log.csv").read_bytes()
 
 
+def test_train_without_cache_matches_cached_run(corpus, trained, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(corpus / "cfg.json"),
+                     "--manifest", manifest(corpus), "--out", str(out),
+                     "--variant", "mha_a", "--text-mode", "sparse", "--seed", "3"]) == 0
+    for name in ("log.csv", "report.txt", "selected.ambi"):
+        assert (out / name).read_bytes() == (trained / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_train_stops_on_non_finite_features(corpus, trained, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for entry in (corpus / "cache").iterdir():
+        seq = ft.load_feature_sequence(entry)
+        data = seq.data.copy()
+        data[-1, 0] = np.inf
+        ft.save_feature_sequence(cache / entry.name, ft.FeatureSequence(data, seq.mask))
+    assert cli.main(["train", "--config", str(corpus / "cfg.json"),
+                     "--manifest", manifest(corpus), "--cache-dir", str(cache),
+                     "--out", str(tmp_path / "run"), "--variant", "audio_bre"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 1, batch 0:") and err.count("\n") == 1
+
+
 def test_train_flag_overrides_config(corpus, capsys):
     out = corpus / "run_short"
     assert cli.main(["train", "--config", str(corpus / "cfg.json"),
@@ -174,6 +199,10 @@ def test_train_config_errors(corpus, tmp_path):
     assert cli.main(base + ["--variant", "audio_bre", "--config", str(cfg)]) == 2
     cfg.write_text("{oops", encoding="utf-8")
     assert cli.main(base + ["--variant", "audio_bre", "--config", str(cfg)]) == 2
+    for features in ({"hop": "abc"}, {"n_mels": True}, {"audio_t_max": 1.5},
+                     {"log_mel": "yes"}):
+        cfg.write_text(json.dumps({"features": features}), encoding="utf-8")
+        assert cli.main(base + ["--variant", "audio_bre", "--config", str(cfg)]) == 2
     assert cli.main(base + ["--variant", "audio_bre",
                             "--config", str(tmp_path / "ghost.json")]) == 1
 
@@ -207,18 +236,27 @@ def test_eval_alt_transcript_needs_alt_column(corpus, trained):
 _MISSING = object()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("hidden", _MISSING),
-    ("hidden", "abc"),
-    ("hidden", 0),
-    ("head_hidden", True),
-    ("audio_dim", 12.5),
-    ("text_dim", "64"),
-    ("variant", 3),
-    ("text_mode", None),
+@pytest.mark.parametrize("key, value, says", [
+    ("hidden", _MISSING, "'hidden'"),
+    ("hidden", "abc", "'hidden'"),
+    ("hidden", 0, "'hidden'"),
+    ("head_hidden", True, "'head_hidden'"),
+    ("audio_dim", 12.5, "'audio_dim'"),
+    ("text_dim", "64", "'text_dim'"),
+    ("variant", 3, "'variant'"),
+    ("text_mode", None, "'text_mode'"),
+    ("variant", "banana", "unknown variant 'banana'"),
+    ("text_mode", "dense2", "unknown text mode 'dense2'"),
+    ("text_dim", None, "mha_a needs text_dim"),
+    ("features", {"hop": 0}, "hop must be positive"),
+    ("features", {"hop": "abc"}, "hop must be an integer"),
+    ("features", {"log_mel": 1}, "log_mel must be true or false"),
+    ("features", {"window": "hann"}, "unknown feature config keys"),
 ], ids=["hidden-missing", "hidden-str", "hidden-zero", "head_hidden-bool", "audio_dim-float",
-        "text_dim-str", "variant-int", "text_mode-null"])
-def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, key, value):
+        "text_dim-str", "variant-int", "text_mode-null", "variant-unknown", "text_mode-unknown",
+        "text_dim-null-needs-text", "features-hop-zero", "features-hop-str",
+        "features-log_mel-int", "features-unknown-key"])
+def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, key, value, says):
     ckpt = tmp_path / "m.ambi"
     ckpt.write_bytes((trained / "selected.ambi").read_bytes())
     meta = json.loads((trained / "selected.ambi.json").read_text(encoding="utf-8"))
@@ -230,7 +268,7 @@ def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, 
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
                      "--cache-dir", str(corpus / "cache")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"'{key}'" in err
+    assert err.startswith("error: ") and says in err
     assert err.count("\n") == 1
 
 

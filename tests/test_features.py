@@ -217,6 +217,16 @@ def test_feature_config_rejects_unknown_keys():
         ft.FeatureConfig.from_dict({"n_mels": 32, "window": "hann"})
 
 
+@pytest.mark.parametrize("fields", [
+    {"hop": "abc"}, {"hop": 256.0}, {"n_fft": 1024.0}, {"n_mels": True}, {"sample_rate": None},
+    {"audio_t_max": 1.5}, {"text_t_max": "7"}, {"text_t_max": False}, {"log_mel": 1},
+    {"log_mel": None},
+], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
+def test_feature_config_rejects_wrong_types(fields):
+    with pytest.raises(ConfigError):
+        ft.FeatureConfig.from_dict(fields)
+
+
 def test_resolve_t_max_fills_only_none():
     cfg = ft.FeatureConfig(audio_t_max=10)
     out = ft.resolve_t_max(cfg, audio_t=99, text_t=7)

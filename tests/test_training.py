@@ -1,5 +1,4 @@
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,7 @@ from ambispeech import autodiff as ad
 from ambispeech import training as tr
 from ambispeech.autodiff import Tensor
 from ambispeech.corpus import Example, INTENT_LABELS
-from ambispeech.errors import ConfigError, LabelError, ModalityError
+from ambispeech.errors import ConfigError, LabelError, ModalityError, NonFiniteError
 from ambispeech.features import end_align
 from ambispeech.models import IntentClassifier, ModelVariant
 
@@ -303,9 +302,10 @@ def test_same_seed_runs_are_identical():
     rng = np.random.default_rng(10)
     examples = make_examples(12, rng)
     cfg = tr.TrainConfig(max_epochs=3, batch_size=4, seed=5, split_ratio=0.75)
+    train_set, test_set = tr.split_records(examples, cfg.split_ratio, cfg.seed)
     logs = []
     for _ in range(2):
-        records = tr.train(tiny_model(seed=1), examples, cfg, snapshot=False)
+        records = tr.train(tiny_model(seed=1), train_set, test_set, cfg)
         logs.append(tr.log_lines(records))
     assert logs[0] == logs[1]
     assert len(logs[0]) == 4
@@ -315,8 +315,9 @@ def test_first_batch_loss_is_initial_cross_entropy():
     rng = np.random.default_rng(11)
     examples = make_examples(8, rng)
     cfg = tr.TrainConfig(max_epochs=1, batch_size=8, seed=6, split_ratio=0.5)
+    train_set, test_set = tr.split_records(examples, cfg.split_ratio, cfg.seed)
     seen = []
-    tr.train(tiny_model(seed=2), examples, cfg, snapshot=False,
+    tr.train(tiny_model(seed=2), train_set, test_set, cfg,
              batch_hook=lambda epoch, b, ids, loss: seen.append((epoch, b, ids, loss)))
     epoch, b, ids, loss = seen[0]
     assert (epoch, b) == (1, 0)
@@ -328,50 +329,78 @@ def test_first_batch_loss_is_initial_cross_entropy():
     assert abs(loss - want) < 1e-12
 
 
-def test_eval_records_bypass_the_split():
+def test_whole_train_set_is_stepped_on():
     rng = np.random.default_rng(12)
-    examples = make_examples(6, rng)
-    cfg = tr.TrainConfig(max_epochs=1, batch_size=6, seed=0)
+    examples = make_examples(7, rng)
+    cfg = tr.TrainConfig(max_epochs=2, batch_size=3, seed=0)
     counted = []
-    tr.train(tiny_model(), examples, cfg, snapshot=False, eval_records=examples,
-             batch_hook=lambda e, b, ids, loss: counted.extend(ids))
-    # the whole dataset trains when an eval set is supplied explicitly
-    assert sorted(counted) == sorted(e.id for e in examples)
+    tr.train(tiny_model(), examples, examples[:2], cfg,
+             batch_hook=lambda e, b, ids, loss: counted.append((e, b, ids)))
+    # train does no split of its own: every record is stepped on once per epoch
+    for epoch in (1, 2):
+        ids = [i for e, _, batch in counted if e == epoch for i in batch]
+        assert sorted(ids) == sorted(e.id for e in examples)
+    assert [b for e, b, _ in counted if e == 1] == [0, 1, 2]
 
 
-def test_checkpoint_modes(tmp_path):
+def test_only_the_running_top_k_keep_a_state():
     rng = np.random.default_rng(13)
-    examples = make_examples(8, rng)
-    cfg = tr.TrainConfig(max_epochs=2, batch_size=4, seed=7, split_ratio=0.5)
-
-    records = tr.train(tiny_model(seed=3), examples, cfg, checkpoint_dir=str(tmp_path))
-    assert [os.path.basename(r.checkpoint) for r in records] == [
-        "epoch_001.ambi", "epoch_002.ambi"]
-    assert all(os.path.exists(r.checkpoint) for r in records)
-
+    examples = make_examples(16, rng)
+    cfg = tr.TrainConfig(max_epochs=9, batch_size=4, seed=7, split_ratio=0.5)
+    train_set, test_set = tr.split_records(examples, cfg.split_ratio, cfg.seed)
     m = tiny_model(seed=3)
-    records = tr.train(m, examples, cfg)
-    assert isinstance(records[0].checkpoint, dict)
-    # snapshots must be frozen copies, not views of the live parameters
-    before = records[0].checkpoint["model.audio_bre.head.W1"].copy()
+    records = tr.train(m, train_set, test_set, cfg)
+    ranked = sorted(records, key=lambda r: (r.accuracy, r.epoch), reverse=True)
+    assert {r.epoch for r in records if r.checkpoint is not None} == {
+        r.epoch for r in ranked[:tr.TOP_K]}
+    assert tr.select_checkpoint(records).checkpoint is not None
+    # states must be frozen copies, not views of the live parameters
+    held = ranked[0].checkpoint
+    before = held["model.audio_bre.head.W1"].copy()
     for p in m.parameters():
         p.data += 1.0
-    np.testing.assert_array_equal(records[0].checkpoint["model.audio_bre.head.W1"], before)
+    np.testing.assert_array_equal(held["model.audio_bre.head.W1"], before)
 
-    records = tr.train(tiny_model(seed=3), examples, cfg, snapshot=False)
-    assert all(r.checkpoint is None for r in records)
+
+def test_keep_top_k_holds_what_select_checkpoint_picks():
+    rng = np.random.default_rng(15)
+    values = (0.25, 0.5, 0.75)  # few values, so ties are common
+    for _ in range(600):
+        records = []
+        for epoch in range(1, int(rng.integers(1, 31)) + 1):
+            acc, f1 = rng.choice(values, size=2)
+            records.append(tr.EpochRecord(epoch, float(acc), float(f1), {}, 1.0))
+            tr._keep_top_k(records)
+            assert sum(r.checkpoint is not None for r in records) == min(epoch, tr.TOP_K)
+            assert tr.select_checkpoint(records).checkpoint is not None
 
 
 def test_selected_snapshot_restores_reported_accuracy():
     rng = np.random.default_rng(14)
     examples = make_examples(16, rng)
     cfg = tr.TrainConfig(max_epochs=4, batch_size=4, seed=8, split_ratio=0.5)
+    train_set, test_set = tr.split_records(examples, cfg.split_ratio, cfg.seed)
     m = tiny_model(seed=4)
-    records = tr.train(m, examples, cfg)
+    records = tr.train(m, train_set, test_set, cfg)
     best = tr.select_checkpoint(records)
-    _, test_set = tr.split_records(examples, cfg.split_ratio, cfg.seed)
     m.load_state(best.checkpoint)
     assert tr.evaluate(m, test_set).accuracy == best.accuracy
+
+
+def test_non_finite_feature_stops_training_at_its_batch():
+    rng = np.random.default_rng(16)
+    examples = make_examples(6, rng)
+    poisoned = examples[3].audio.data.copy()
+    poisoned[-1, 0] = np.nan
+    examples[3] = replace(examples[3], audio=replace(examples[3].audio, data=poisoned))
+    cfg = tr.TrainConfig(max_epochs=2, batch_size=6, seed=0)
+    m = tiny_model()
+    before = {k: v.copy() for k, v in m.state().items()}
+    with pytest.raises(NonFiniteError, match=r"epoch 1, batch 0\b"):
+        tr.train(m, examples, examples, cfg)
+    # the step is refused, so the parameters are still the initial ones
+    for k, v in m.state().items():
+        np.testing.assert_array_equal(v, before[k])
 
 
 def test_evaluate_rejects_empty():
