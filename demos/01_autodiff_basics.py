@@ -35,7 +35,7 @@ print("masked softmax:", ad.masked_softmax(scores, mask).data)
 # gradient_check perturbs every input coordinate with central differences
 # and reports the worst relative disagreement with the analytic gradient.
 def f(a, b):
-    return ad.mean(ad.sigmoid(ad.matmul(a, b)))
+    return ad.mean(ad.tanh(ad.matmul(a, b)))
 
 rng = np.random.default_rng(0)
 err = ad.gradient_check(

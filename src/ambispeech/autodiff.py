@@ -169,19 +169,6 @@ def tanh(a) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    # two-branch form stays finite for any input sign
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g: Array) -> None:
-        _accum(a, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), backward)
-
-
 def relu(a) -> Tensor:
     a = _wrap(a)
     out_data = np.maximum(a.data, 0.0)
@@ -315,7 +302,6 @@ REGISTERED_OPS: dict[str, Callable] = {
     "add": add,
     "mul": mul,
     "tanh": tanh,
-    "sigmoid": sigmoid,
     "relu": relu,
     "log": log,
     "clip_min": clip_min,

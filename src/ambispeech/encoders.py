@@ -88,12 +88,16 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> T
     """One direction over a (B, T, D) batch; returns a packed (B, T+1, h) tensor.
 
     Rows 0..T-1 hold the masked output states (zero where mask is 0); row T
-    holds the final carried state. Masked steps freeze h and c bitwise.
+    holds the final carried state. Masked steps freeze h and c bitwise, so
+    a column with no valid row is a no-op in forward and BPTT alike and is
+    never run.
     """
     B, T, _ = x.shape
     Wx, Wh, b = d.Wx.data, d.Wh.data, d.b.data
     h_size = Wh.shape[0]
-    order = range(T - 1, -1, -1) if reverse else range(T)
+    order = np.flatnonzero(mask.any(axis=0)).tolist()  # ints: t indexes five arrays per step
+    if reverse:
+        order.reverse()
 
     # keep the BPTT stash only when some weight will take a gradient
     needs_grad = d.Wx.requires_grad or d.Wh.requires_grad or d.b.requires_grad

@@ -75,6 +75,11 @@ class IntentClassifier:
 
     def __init__(self, variant: ModelVariant, audio_dim: int, text_dim: int | None = None,
                  hidden: int = 64, head_hidden: int = 128, seed: int = 0):
+        for key, value in (("audio_dim", audio_dim), ("text_dim", text_dim), ("hidden", hidden),
+                           ("head_hidden", head_hidden)):
+            # type() rather than isinstance(): JSON true must not pass as 1
+            if not (type(value) is int and value >= 1 or key == "text_dim" and value is None):
+                raise ConfigError(f"{key!r} must be a positive integer, got {value!r}")
         if variant.uses_text and not text_dim:
             raise ConfigError(f"{variant.tag} needs text_dim")
         self.variant = variant
@@ -252,11 +257,6 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
     for key in ("variant", "text_mode"):
         if not isinstance(meta[key], str):
             raise DataError(f"sidecar {sidecar}: {key!r} must be a string, got {meta[key]!r}")
-    for key in ("audio_dim", "text_dim", "hidden", "head_hidden"):
-        value = meta[key]
-        # type() rather than isinstance(): JSON true must not pass as 1
-        if not (type(value) is int and value >= 1 or key == "text_dim" and value is None):
-            raise DataError(f"sidecar {sidecar}: {key!r} must be a positive integer, got {value!r}")
     if meta["labels"] != list(INTENT_LABELS):
         raise DataError(f"sidecar {sidecar} carries an unknown label order")
     try:  # well-typed values that do not fit together are corrupt state, not config

@@ -16,6 +16,7 @@ Array = np.ndarray
 
 N_CLASSES = len(INTENT_LABELS)
 TOP_K = 5  # the pool size of select_checkpoint, and so the epochs train keeps a state for
+EVAL_BUCKET = 32  # the most records predict_batch runs at once
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,19 @@ class TrainConfig:
     group_by_script: bool = False  # keep all variants of a transcript on one side
 
     def __post_init__(self):
+        # type() rather than isinstance(): JSON true must not pass as 1
+        for name in ("max_epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "beta1", "beta2", "eps", "split_ratio"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if type(self.group_by_script) is not bool:
+            raise ConfigError(f"group_by_script must be true or false, got {self.group_by_script!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 < self.split_ratio < 1.0:
@@ -204,18 +218,26 @@ class _Arrays:
                              self.text[idx], self.text_mask[idx])
 
 
-def predict_batch(model: IntentClassifier, examples: list[Example],
-                  batch_size: int = 256) -> tuple[Array, Array]:
+def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Array, Array]:
     """(probs (N, 7), argmax predictions (N,)) without building gradients:
-    the parameters stop requiring grad for the call, so no tape is kept."""
+    the parameters stop requiring grad for the call, so no tape is kept.
+
+    The records run in ceil(N / EVAL_BUCKET) buckets of near-equal size,
+    cut from a stable sort by audio valid length, so that short records
+    share their leading all-padding columns and the LSTM skips them. No
+    bucket holds one record unless N == 1 (a batch of one takes BLAS's
+    matrix-vector path, whose last bits differ). Probabilities come back
+    in input order.
+    """
     arrs = _Arrays(examples)
+    order = np.argsort(arrs.audio_mask.sum(axis=1), kind="stable")
+    buckets = np.array_split(order, -(-len(arrs) // EVAL_BUCKET))
     params = [p for p in model.parameters() if p.requires_grad]
     for p in params:
         p.requires_grad = False
     try:
         probs = np.empty((len(arrs), N_CLASSES))
-        for lo in range(0, len(arrs), batch_size):
-            idx = np.arange(lo, min(lo + batch_size, len(arrs)))
+        for idx in buckets:
             batch_probs, _ = arrs.forward(model, idx)
             probs[idx] = batch_probs.data
     finally:

@@ -184,7 +184,7 @@ def test_train_flag_overrides_config(corpus, capsys):
     assert len(log) == 2  # config said 3 epochs, the flag said 1
 
 
-def test_train_config_errors(corpus, tmp_path):
+def test_train_config_errors(corpus, tmp_path, capsys):
     base = ["train", "--manifest", manifest(corpus), "--cache-dir", str(corpus / "cache"),
             "--out", str(tmp_path / "x")]
     assert cli.main(base + ["--variant", "banana"]) == 2
@@ -203,6 +203,16 @@ def test_train_config_errors(corpus, tmp_path):
                      {"log_mel": "yes"}):
         cfg.write_text(json.dumps({"features": features}), encoding="utf-8")
         assert cli.main(base + ["--variant", "audio_bre", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+    for section in ({"train": {"max_epochs": "3"}}, {"train": {"split_ratio": "0.5"}},
+                    {"train": {"batch_size": 2.5}}, {"train": {"seed": -1}},
+                    {"train": {"learning_rate": True}}, {"train": {"group_by_script": 1}},
+                    {"model": {"hidden": "8"}}, {"model": {"hidden": 0}},
+                    {"model": {"head_hidden": True}}):
+        cfg.write_text(json.dumps(section), encoding="utf-8")
+        assert cli.main(base + ["--variant", "audio_bre", "--config", str(cfg)]) == 2, section
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (section, err)
     assert cli.main(base + ["--variant", "audio_bre",
                             "--config", str(tmp_path / "ghost.json")]) == 1
 

@@ -107,6 +107,39 @@ def test_prefix_padding_matches_shorter_buffer():
     np.testing.assert_allclose(f_big, f_small, atol=1e-15)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_runs_only_columns_with_a_valid_row(reverse, monkeypatch):
+    rng = np.random.default_rng(16)
+    d = rand_bre(rng, 3, 2).fwd
+    cols = [5, 20, 39]
+    mask = np.zeros((2, 40))
+    mask[0, [5, 39]] = 1.0
+    mask[1, [20, 39]] = 1.0
+    x = rng.normal(size=(2, 40, 3))
+    weights = [d.Wx, d.Wh, d.b]
+    w = rng.normal(size=(2, 41, 2))
+    keep = cols + [40]  # the valid columns and the final-state row
+
+    def run(inp, m, weight):
+        for p in weights:
+            p.grad = None
+        packed = en._lstm_direction(inp, m, d, reverse)
+        ad.sum_axis(ad.mul(packed, weight)).backward()
+        return packed.data, [p.grad.copy() for p in weights]
+
+    trimmed, trimmed_grads = run(x[:, cols], mask[:, cols], w[:, keep])
+    calls = []
+    real_tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda a: calls.append(1) or real_tanh(a))
+    full, grads = run(x, mask, w)
+    assert len(calls) == 2 * len(cols)  # two tanh per recurrence step, none in BPTT
+    # the skipped columns change nothing: a buffer of only the valid columns agrees
+    assert np.array_equal(full[:, keep], trimmed)
+    assert not np.delete(full, keep, axis=1).any()
+    for a, b in zip(grads, trimmed_grads):
+        assert np.array_equal(a, b)
+
+
 def test_dim_mismatch_and_empty_mask_rejected():
     rng = np.random.default_rng(7)
     p = rand_bre(rng, 4, 3)

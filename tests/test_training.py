@@ -449,6 +449,48 @@ def test_predict_batch_matches_taped_forward_and_records_no_tape(tag, text_mode,
         assert p.requires_grad and p.grad is grads[name], name
 
 
+def longtail_examples(n, text, rng):
+    """n shuffled records whose audio lengths follow a long tail in a 40-step buffer."""
+    lengths = rng.permutation(np.where(np.arange(n) % 8 == 0, rng.integers(20, 41, n),
+                                       rng.integers(2, 7, n)))
+    return [Example(id=f"lt{i:03d}", audio=end_align(rng.normal(size=(int(v), 5)), 40),
+                    text=end_align(rng.normal(size=(int(rng.integers(1, 9)), 4)), 8) if text else None,
+                    label=int(rng.integers(0, 7)), speaker="alba", transcript=f"s{i}")
+            for i, v in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("n", [37, 65])
+@pytest.mark.parametrize("tag, text_mode", VARIANTS)
+def test_predict_batch_buckets_by_length_and_keeps_input_order(tag, text_mode, n, monkeypatch):
+    rng = np.random.default_rng(n)
+    examples = longtail_examples(n, text_mode != "none", rng)
+    model = IntentClassifier(ModelVariant(tag, text_mode), audio_dim=5,
+                             text_dim=4 if text_mode != "none" else None,
+                             hidden=4, head_hidden=8, seed=2)
+    arrs = tr._Arrays(examples)
+    for p in model.parameters():
+        p.requires_grad = False
+    whole, _ = arrs.forward(model, np.arange(n))
+    for p in model.parameters():
+        p.requires_grad = True
+
+    buckets = []
+    real_forward = tr._Arrays.forward
+
+    def spy(self, model, idx):
+        buckets.append(self.audio_mask[idx].sum(axis=1))
+        return real_forward(self, model, idx)
+
+    monkeypatch.setattr(tr._Arrays, "forward", spy)
+    probs, preds = tr.predict_batch(model, examples)
+    assert np.array_equal(probs, whole.data)
+    assert np.array_equal(preds, whole.data.argmax(axis=1))
+    # ceil(n / 32) buckets of near-equal size, none of one record, in length order
+    assert len(buckets) == -(-n // tr.EVAL_BUCKET)
+    assert max(map(len, buckets)) - min(map(len, buckets)) <= 1 < min(map(len, buckets))
+    assert all(a.max() <= b.min() for a, b in zip(buckets, buckets[1:]))
+
+
 def test_predict_batch_restores_flags_when_forward_raises():
     model, examples = variant_and_examples("mha_a", "sparse", np.random.default_rng(22))
     audio_only = [replace(e, text=None) for e in examples]
