@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from . import features as ft
 from . import models as md
 from . import synth as sy
 from . import training as tr
+from .config import check_fields, read_section
 from .errors import (ConfigError, DataError, DegenerateMaskError,
                      EmptyInputError, LabelError, ModalityError, ShapeError)
 
@@ -29,53 +30,54 @@ CACHE_ENV = "AMBISPEECH_CACHE_DIR"
 _CACHE_VERSION = "ambf1"
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    known = {"variant", "text_mode", "features", "train", "model", "paths"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"config {path}: unknown sections {sorted(unknown)}")
+@dataclass(frozen=True)
+class _Paths:
+    manifest: str | None = None
+    cache_dir: str | None = None
+    out_dir: str | None = None
+    embedding: str | None = None
+
+    def __post_init__(self):
+        check_fields(self, {})
+
+
+_SECTIONS = {  # config section -> (its name in messages, its keys)
+    "features": ("feature", ft.FeatureConfig),
+    "train": ("train", tr.TrainConfig),
+    "model": ("model", ("hidden", "head_hidden")),
+    "paths": ("paths", _Paths),
+}
+_TOP_KEYS = ("variant", "text_mode", *_SECTIONS)
+
+
+def _load_config(args) -> dict:
+    """The run's config: the JSON file, then AMBISPEECH_CACHE_DIR, then the flags.
+
+    A flag sets the key its dest names, "variant" or "<section>.<key>", before
+    any value is checked. features, train and paths come back as checked
+    objects, and model as IntentClassifier's keyword arguments.
+    """
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise DataError(f"cannot read config {args.config}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    cfg = read_section("top-level", cfg, _TOP_KEYS)
+    for section, (name, keys) in _SECTIONS.items():
+        cfg[section] = read_section(name, cfg.get(section, {}), keys)
+    for dest, value in [("paths.cache_dir", os.environ.get(CACHE_ENV) or None),
+                        *vars(args).items()]:
+        section, _, key = dest.rpartition(".")
+        if value is not None and (section or key) in _TOP_KEYS:
+            (cfg[section] if section else cfg)[key] = value
+    cfg["features"] = ft.FeatureConfig(**cfg["features"])
+    cfg["train"] = tr.TrainConfig(**cfg["train"])
+    cfg["paths"] = _Paths(**cfg["paths"])
     return cfg
-
-
-def _feature_config(cfg: dict) -> ft.FeatureConfig:
-    return ft.FeatureConfig.from_dict(cfg.get("features", {}))
-
-
-def _train_config(cfg: dict, args) -> tr.TrainConfig:
-    section = dict(cfg.get("train", {}))
-    unknown = set(section) - set(tr.TrainConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    tc = tr.TrainConfig(**section)
-    for field, attr in (("seed", "seed"), ("max_epochs", "epochs"),
-                        ("batch_size", "batch_size"), ("learning_rate", "lr")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            tc = replace(tc, **{field: val})
-    return tc
-
-
-def _cache_dir(args, cfg: dict) -> str | None:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    if os.environ.get(CACHE_ENV):
-        return os.environ[CACHE_ENV]
-    return cfg.get("paths", {}).get("cache_dir")
-
-
-def _path_opt(args, cfg: dict, flag: str, key: str) -> str | None:
-    return getattr(args, flag, None) or cfg.get("paths", {}).get(key)
 
 
 def _cache_key(wav_bytes: bytes, fcfg: ft.FeatureConfig) -> str:
@@ -139,17 +141,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    cfg = _load_config(args.config)
-    fcfg = _feature_config(cfg)
-    manifest = _path_opt(args, cfg, "manifest", "manifest")
-    if manifest is None:
+    cfg = _load_config(args)
+    paths = cfg["paths"]
+    if paths.manifest is None:
         raise ConfigError("featurize needs a manifest (flag or config)")
-    cache_dir = _cache_dir(args, cfg)
-    if cache_dir is None:
+    if paths.cache_dir is None:
         raise ConfigError("featurize needs a cache dir (flag, env, or config)")
-    records = cp.load_manifest(manifest)
-    base_dir = os.path.dirname(os.path.abspath(manifest))
-    loader = _caching_frame_loader(fcfg, cache_dir, base_dir,
+    records = cp.load_manifest(paths.manifest)
+    base_dir = os.path.dirname(os.path.abspath(paths.manifest))
+    loader = _caching_frame_loader(cfg["features"], paths.cache_dir, base_dir,
                                    counters := {"computed": 0, "reused": 0})
     failures = []
     for r in records:
@@ -167,39 +167,24 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    variant = md.ModelVariant.parse(
-        args.variant or cfg.get("variant", ""),
-        args.text_mode or cfg.get("text_mode", "none"),
-    )
-    fcfg = _feature_config(cfg)
-    tcfg = _train_config(cfg, args)
-    manifest = _path_opt(args, cfg, "manifest", "manifest")
-    if manifest is None:
+    cfg = _load_config(args)
+    variant = md.ModelVariant.parse(cfg.get("variant", ""), cfg.get("text_mode", "none"))
+    tcfg, paths = cfg["train"], cfg["paths"]
+    if paths.manifest is None:
         raise ConfigError("train needs a manifest (flag or config)")
-    records = cp.load_manifest(manifest)
-    base_dir = os.path.dirname(os.path.abspath(manifest))
+    records = cp.load_manifest(paths.manifest)
+    base_dir = os.path.dirname(os.path.abspath(paths.manifest))
     table = None
-    embedding_path = _path_opt(args, cfg, "embedding", "embedding")
     if variant.text_mode == "dense":
-        if embedding_path is None:
+        if paths.embedding is None:
             raise ConfigError("dense text mode needs an embedding table path")
-        table = cp.load_embedding_table(embedding_path)
-    examples, resolved = _featurize(records, fcfg, variant.text_mode, table,
-                                    _cache_dir(args, cfg), base_dir)
-    msec = cfg.get("model", {})
-    unknown = set(msec) - {"hidden", "head_hidden"}
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-    model = md.IntentClassifier(
-        variant,
-        audio_dim=resolved.audio_dim,
-        text_dim=examples[0].text.dim if examples[0].text is not None else None,
-        hidden=args.hidden or msec.get("hidden", 64),
-        head_hidden=msec.get("head_hidden", 128),
-        seed=tcfg.seed,
-    )
-    out_dir = _path_opt(args, cfg, "out", "out_dir")
+        table = cp.load_embedding_table(paths.embedding)
+    examples, resolved = _featurize(records, cfg["features"], variant.text_mode, table,
+                                    paths.cache_dir, base_dir)
+    text_dim = examples[0].text.dim if examples[0].text is not None else None
+    model = md.IntentClassifier(variant, resolved.audio_dim, text_dim, seed=tcfg.seed,
+                                **cfg["model"])
+    out_dir = paths.out_dir
     if out_dir is None:
         raise ConfigError("train needs an output dir (flag or config)")
     ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -217,7 +202,7 @@ def cmd_train(args) -> int:
     chosen = tr.select_checkpoint(epochs)
     model.load_state(chosen.checkpoint)
     md.save_model(os.path.join(out_dir, "selected.ambi"), model, resolved,
-                  embedding_path=embedding_path)
+                  embedding_path=paths.embedding)
     report = tr.evaluate(model, test_set)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"variant: {variant.tag}\ntext_mode: {variant.text_mode}\n"
@@ -245,15 +230,13 @@ def _checkpoint_table(args, meta: dict) -> ft.EmbeddingTable:
 
 def cmd_eval(args) -> int:
     model, fcfg, meta = md.load_model(args.checkpoint)
-    cfg = _load_config(args.config)
-    manifest = _path_opt(args, cfg, "manifest", "manifest")
-    if manifest is None:
+    paths = _load_config(args)["paths"]
+    if paths.manifest is None:
         raise ConfigError("eval needs a manifest (flag or config)")
-    records = cp.load_manifest(manifest)
-    base_dir = os.path.dirname(os.path.abspath(manifest))
+    records = cp.load_manifest(paths.manifest)
+    base_dir = os.path.dirname(os.path.abspath(paths.manifest))
     table = _checkpoint_table(args, meta) if meta["text_mode"] == "dense" else None
-    examples, _ = _featurize(records, fcfg, meta["text_mode"], table,
-                             _cache_dir(args, cfg), base_dir,
+    examples, _ = _featurize(records, fcfg, meta["text_mode"], table, paths.cache_dir, base_dir,
                              use_alt=args.use_alt_transcript)
     report = tr.evaluate(model, examples)
     text = tr.format_report(report)
@@ -315,31 +298,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="fill the audio feature cache")
     p.add_argument("--config", default=None)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--manifest", dest="paths.manifest", metavar="MANIFEST")
+    p.add_argument("--cache-dir", dest="paths.cache_dir", metavar="CACHE_DIR")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train one variant end to end")
     p.add_argument("--config", default=None)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--manifest", dest="paths.manifest", metavar="MANIFEST")
+    p.add_argument("--out", dest="paths.out_dir", metavar="OUT", help="output directory")
     p.add_argument("--variant", default=None)
     p.add_argument("--text-mode", default=None)
-    p.add_argument("--embedding", default=None)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--hidden", type=int, default=None)
+    p.add_argument("--embedding", dest="paths.embedding", metavar="EMBEDDING")
+    p.add_argument("--cache-dir", dest="paths.cache_dir", metavar="CACHE_DIR")
+    p.add_argument("--seed", dest="train.seed", metavar="SEED", type=int)
+    p.add_argument("--epochs", dest="train.max_epochs", metavar="EPOCHS", type=int)
+    p.add_argument("--batch-size", dest="train.batch_size", metavar="BATCH_SIZE", type=int)
+    p.add_argument("--lr", dest="train.learning_rate", metavar="LR", type=float)
+    p.add_argument("--hidden", dest="model.hidden", metavar="HIDDEN", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", default=None)
+    p.add_argument("--manifest", dest="paths.manifest", metavar="MANIFEST")
     p.add_argument("--config", default=None)
     p.add_argument("--embedding", default=None)
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", dest="paths.cache_dir", metavar="CACHE_DIR")
     p.add_argument("--use-alt-transcript", action="store_true")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_eval)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import hangul
 from .checkpoint import write_atomic
+from .config import check_fields
 from .errors import ConfigError, DataError, EmptyInputError, ShapeError
 
 Array = np.ndarray
@@ -61,45 +62,21 @@ class FeatureConfig:
     audio_t_max: int | None = None
     text_t_max: int | None = None
 
+    _RANGES = {
+        "sample_rate": (lambda v: v > 0, "positive"),
+        "n_fft": (lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2"),
+        "hop": (lambda v: v > 0, "positive"),
+        "n_mels": (lambda v: v >= 1, ">= 1"),
+        "audio_t_max": (lambda v: v >= 1, ">= 1 or null"),
+        "text_t_max": (lambda v: v >= 1, ">= 1 or null"),
+    }
+
     def __post_init__(self):
-        # type() rather than isinstance(): JSON true must not pass as 1
-        for name in ("sample_rate", "n_fft", "hop", "n_mels", "audio_t_max", "text_t_max"):
-            value = getattr(self, name)
-            if type(value) is not int and not (name.endswith("t_max") and value is None):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if type(self.log_mel) is not bool:
-            raise ConfigError(f"log_mel must be true or false, got {self.log_mel!r}")
-        if self.hop <= 0:
-            raise ConfigError(f"hop must be positive, got {self.hop}")
-        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
-            raise ConfigError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
-        if self.n_mels < 1:
-            raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_fields(self, self._RANGES)
 
     @property
     def audio_dim(self) -> int:
         return self.n_mels + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "n_fft": self.n_fft,
-            "hop": self.hop,
-            "n_mels": self.n_mels,
-            "log_mel": self.log_mel,
-            "audio_t_max": self.audio_t_max,
-            "text_t_max": self.text_t_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown feature config keys: {sorted(extra)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)

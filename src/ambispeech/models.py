@@ -8,13 +8,14 @@ distribution through a shared-head shape: encode, pool, concat, MLP.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
 from .autodiff import Tensor
+from .config import check_fields, read_section
 from .corpus import INTENT_LABELS
 from .encoders import (attend, bre_forward, init_attention, init_bre,
                        self_attentive_pool)
@@ -40,6 +41,7 @@ class ModelVariant:
     text_mode: str = "none"
 
     def __post_init__(self):
+        check_fields(self, {})
         if self.tag not in VARIANT_TAGS:
             raise ConfigError(f"unknown variant {self.tag!r}; expected one of {VARIANT_TAGS}")
         if self.text_mode not in TEXT_MODES:
@@ -54,8 +56,10 @@ class ModelVariant:
         return self.text_mode != "none"
 
     @classmethod
-    def parse(cls, tag: str, text_mode: str = "none") -> "ModelVariant":
-        return cls(tag.strip().lower().replace("-", "_"), text_mode.strip().lower())
+    def parse(cls, tag, text_mode="none") -> "ModelVariant":
+        if type(tag) is str and type(text_mode) is str:
+            tag, text_mode = tag.strip().lower().replace("-", "_"), text_mode.strip().lower()
+        return cls(tag, text_mode)
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
@@ -231,7 +235,7 @@ def save_model(path, model: IntentClassifier, feature_cfg: FeatureConfig,
         "hidden": model.hidden,
         "head_hidden": model.head_hidden,
         "labels": list(INTENT_LABELS),
-        "features": feature_cfg.to_dict(),
+        "features": asdict(feature_cfg),
         "embedding_path": embedding_path,
     }
     checkpoint.write_atomic(f"{path}.json", json.dumps(meta, indent=1).encode("utf-8"))
@@ -252,8 +256,6 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
     for key in _SIDECAR_KEYS:
         if key not in meta:
             raise DataError(f"sidecar {sidecar} lacks the key {key!r}")
-    if not isinstance(meta["features"], dict):
-        raise DataError(f"sidecar {sidecar}: 'features' must be a JSON object")
     for key in ("variant", "text_mode"):
         if not isinstance(meta[key], str):
             raise DataError(f"sidecar {sidecar}: {key!r} must be a string, got {meta[key]!r}")
@@ -263,7 +265,7 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
         variant = ModelVariant(meta["variant"], meta["text_mode"])
         model = IntentClassifier(variant, meta["audio_dim"], meta["text_dim"],
                                  hidden=meta["hidden"], head_hidden=meta["head_hidden"])
-        fcfg = FeatureConfig.from_dict(meta["features"])
+        fcfg = FeatureConfig(**read_section("feature", meta["features"], FeatureConfig))
     except ConfigError as exc:
         raise DataError(f"sidecar {sidecar}: {exc}") from exc
     model.load_state(checkpoint.load_params(path))

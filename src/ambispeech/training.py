@@ -8,6 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_fields
 from .corpus import Example, INTENT_LABELS
 from .errors import ConfigError, LabelError, NonFiniteError
 from .models import IntentClassifier
@@ -31,28 +32,19 @@ class TrainConfig:
     split_ratio: float = 0.9
     group_by_script: bool = False  # keep all variants of a transcript on one side
 
+    _RANGES = {
+        "max_epochs": (lambda v: v >= 1, ">= 1"),
+        "batch_size": (lambda v: v >= 1, ">= 1"),
+        "learning_rate": (lambda v: v > 0, "positive"),
+        "beta1": (lambda v: 0 <= v < 1, "in [0, 1)"),
+        "beta2": (lambda v: 0 <= v < 1, "in [0, 1)"),
+        "eps": (lambda v: v > 0, "positive"),
+        "seed": (lambda v: v >= 0, ">= 0"),
+        "split_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
+    }
+
     def __post_init__(self):
-        # type() rather than isinstance(): JSON true must not pass as 1
-        for name in ("max_epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "beta1", "beta2", "eps", "split_ratio"):
-            value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if type(self.group_by_script) is not bool:
-            raise ConfigError(f"group_by_script must be true or false, got {self.group_by_script!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        check_fields(self, self._RANGES)
 
 
 @dataclass

@@ -1,13 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ambispeech import cli
 from ambispeech import features as ft
+from ambispeech import models as md
 
 
 @pytest.fixture(scope="module")
@@ -204,17 +207,52 @@ def test_train_config_errors(corpus, tmp_path, capsys):
         cfg.write_text(json.dumps({"features": features}), encoding="utf-8")
         assert cli.main(base + ["--variant", "audio_bre", "--config", str(cfg)]) == 2
     capsys.readouterr()
+    one_epoch = {"max_epochs": 1}  # a value no check rejects trains one epoch, then fails here
     for section in ({"train": {"max_epochs": "3"}}, {"train": {"split_ratio": "0.5"}},
                     {"train": {"batch_size": 2.5}}, {"train": {"seed": -1}},
                     {"train": {"learning_rate": True}}, {"train": {"group_by_script": 1}},
                     {"model": {"hidden": "8"}}, {"model": {"hidden": 0}},
-                    {"model": {"head_hidden": True}}):
+                    {"model": {"head_hidden": True}},
+                    {"train": {**one_epoch, "beta1": 1.0}}, {"train": {**one_epoch, "beta2": 1.5}},
+                    {"train": {**one_epoch, "eps": 0}},
+                    {"train": {**one_epoch, "learning_rate": float("nan")}},
+                    {"train": {**one_epoch, "learning_rate": float("inf")}},
+                    {"features": 5}, {"train": 5}, {"model": 5}, {"paths": 5},
+                    {"train": one_epoch, "paths": {"cachedir": "x"}}):
         cfg.write_text(json.dumps(section), encoding="utf-8")
         assert cli.main(base + ["--variant", "audio_bre", "--config", str(cfg)]) == 2, section
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (section, err)
+    # no --cache-dir: the flag would replace the config's cache_dir 5 before it is checked
+    no_cache = ["train", "--manifest", manifest(corpus), "--out", str(tmp_path / "x")]
+    for config, flags in (({"variant": 5}, []), ({"variant": "audio_bre", "text_mode": 7}, []),
+                          ({"paths": {"cache_dir": 5}}, ["--variant", "audio_bre"]),
+                          ({}, ["--variant", "audio_bre", "--epochs", "1", "--hidden", "0"]),
+                          ({}, ["--variant", "audio_bre", "--epochs", "1", "--lr", "nan"])):
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(no_cache + flags + ["--config", str(cfg)]) == 2, (config, flags)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (config, flags, err)
     assert cli.main(base + ["--variant", "audio_bre",
                             "--config", str(tmp_path / "ghost.json")]) == 1
+
+
+def test_readme_config_passes_the_config_checks(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    (tmp_path / "cfg.json").write_text(json.dumps(block), encoding="utf-8")
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    cfg = cli._load_config(cli.build_parser().parse_args(["train", "--config",
+                                                          str(tmp_path / "cfg.json")]))
+    variant = md.ModelVariant.parse(cfg["variant"], cfg["text_mode"])
+    model = md.IntentClassifier(variant, audio_dim=cfg["features"].audio_dim, text_dim=69,
+                                **cfg["model"])
+    assert (variant.tag, variant.text_mode) == (block["variant"], block["text_mode"])
+    assert (model.hidden, model.head_hidden) == (block["model"]["hidden"],
+                                                 block["model"]["head_hidden"])
+    for section in ("features", "train", "paths"):
+        for key, value in block[section].items():
+            assert getattr(cfg[section], key) == value, (section, key)
 
 
 # --------------------------------------------------------------------- eval
@@ -262,10 +300,11 @@ _MISSING = object()
     ("features", {"hop": "abc"}, "hop must be an integer"),
     ("features", {"log_mel": 1}, "log_mel must be true or false"),
     ("features", {"window": "hann"}, "unknown feature config keys"),
+    ("features", {"audio_t_max": 0}, "audio_t_max must be >= 1 or null"),
 ], ids=["hidden-missing", "hidden-str", "hidden-zero", "head_hidden-bool", "audio_dim-float",
         "text_dim-str", "variant-int", "text_mode-null", "variant-unknown", "text_mode-unknown",
         "text_dim-null-needs-text", "features-hop-zero", "features-hop-str",
-        "features-log_mel-int", "features-unknown-key"])
+        "features-log_mel-int", "features-unknown-key", "features-audio_t_max-zero"])
 def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, key, value, says):
     ckpt = tmp_path / "m.ambi"
     ckpt.write_bytes((trained / "selected.ambi").read_bytes())
@@ -275,11 +314,14 @@ def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, 
     else:
         meta[key] = value
     (tmp_path / "m.ambi.json").write_text(json.dumps(meta), encoding="utf-8")
-    assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
-                     "--cache-dir", str(corpus / "cache")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and says in err
-    assert err.count("\n") == 1
+    wav = str(corpus / "corpus" / "wav" / "syn0000a.wav")
+    for argv in (["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
+                  "--cache-dir", str(corpus / "cache")],
+                 ["predict", "--checkpoint", str(ckpt), "--wav", wav, "--transcript", "가나"]):
+        assert cli.main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err
+        assert err.count("\n") == 1
 
 
 def test_eval_missing_checkpoint(corpus):
@@ -303,7 +345,7 @@ def test_predict_emits_distribution_and_attention(corpus, trained, capsys):
     assert set(out["attention"]) == {"audio_self", "text_cross"}
     assert len(out["attention"]["text_cross"]) == len(transcript)
     meta = json.loads((trained / "selected.ambi.json").read_text(encoding="utf-8"))
-    fcfg = ft.FeatureConfig.from_dict(meta["features"])
+    fcfg = ft.FeatureConfig(**meta["features"])
     n_frames = ft.audio_frame_matrix(ft.read_wav(wav), fcfg).shape[0]
     assert len(out["attention"]["audio_self"]) == min(n_frames, fcfg.audio_t_max)
     for weights in out["attention"].values():

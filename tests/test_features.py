@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ambispeech import features as ft
+from ambispeech.config import read_section
 from ambispeech.errors import (ConfigError, DataError, EmptyInputError,
                                ShapeError)
 
@@ -212,9 +213,16 @@ def test_log_mel_flag_changes_scale_not_sign():
     np.testing.assert_array_equal(logd[:, -1], raw[:, -1])  # energy column untouched
 
 
+def feature_section(section):
+    """A FeatureConfig built the way a config file's or a sidecar's features section is."""
+    return ft.FeatureConfig(**read_section("feature", section, ft.FeatureConfig))
+
+
 def test_feature_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        ft.FeatureConfig.from_dict({"n_mels": 32, "window": "hann"})
+    with pytest.raises(ConfigError, match=r"unknown feature config keys: \['window'\]"):
+        feature_section({"n_mels": 32, "window": "hann"})
+    with pytest.raises(ConfigError, match="feature config must be a JSON object"):
+        feature_section([32])
 
 
 @pytest.mark.parametrize("fields", [
@@ -224,7 +232,19 @@ def test_feature_config_rejects_unknown_keys():
 ], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
 def test_feature_config_rejects_wrong_types(fields):
     with pytest.raises(ConfigError):
-        ft.FeatureConfig.from_dict(fields)
+        feature_section(fields)
+
+
+@pytest.mark.parametrize("fields, says", [
+    ({"audio_t_max": 0}, "audio_t_max must be >= 1 or null, got 0"),
+    ({"text_t_max": -3}, "text_t_max must be >= 1 or null, got -3"),
+    ({"n_fft": 1000}, "n_fft must be a power of two >= 2, got 1000"),
+    ({"hop": 0}, "hop must be positive, got 0"),
+], ids=["audio_t_max-zero", "text_t_max-negative", "n_fft-not-a-power-of-two", "hop-zero"])
+def test_feature_config_rejects_out_of_range(fields, says):
+    with pytest.raises(ConfigError) as info:
+        feature_section(fields)
+    assert str(info.value) == says
 
 
 def test_resolve_t_max_fills_only_none():

@@ -41,6 +41,10 @@ def test_variant_validation():
         md.ModelVariant("transformer", "none")
     with pytest.raises(ConfigError):
         md.ModelVariant("ca", "onehot")
+    with pytest.raises(ConfigError, match="tag must be a string, got 5"):
+        md.ModelVariant.parse(5)
+    with pytest.raises(ConfigError, match="text_mode must be a string, got 7"):
+        md.ModelVariant.parse("ca", 7)
 
 
 def test_text_dim_required_with_text():

@@ -296,6 +296,12 @@ def test_config_validation():
         tr.TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         tr.TrainConfig(learning_rate=0.0)
+    for bad in ({"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.5}, {"eps": 0}, {"eps": -1e-8},
+                {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+                {"beta2": float("nan")}, {"learning_rate": 10**400}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            tr.TrainConfig(**bad)
+    assert tr.TrainConfig(beta1=0, learning_rate=1).learning_rate == 1  # an int is a number
 
 
 def test_same_seed_runs_are_identical():
