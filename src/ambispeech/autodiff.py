@@ -275,6 +275,10 @@ def masked_softmax(scores, mask) -> Tensor:
 
     Masked positions get exactly 0. Max-subtraction keeps exp() finite, so
     the result is invariant under adding a constant to the unmasked scores.
+    Both sums over the axis, the denominator and the backward's (g * out)
+    dot, run left to right (the last column of a cumsum), not in numpy's
+    pairwise grouping, so leading masked zeros add nothing: a row's output
+    and gradient do not depend on how much padding precedes it.
     """
     s = _wrap(scores)
     m = np.broadcast_to(np.asarray(mask, dtype=np.float64), s.shape)
@@ -287,10 +291,10 @@ def masked_softmax(scores, mask) -> Tensor:
     shifted = np.where(m == 1.0, s.data, neg)
     mx = shifted.max(axis=-1, keepdims=True)
     e = np.where(m == 1.0, np.exp(s.data - mx), 0.0)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = e / np.cumsum(e, axis=-1)[..., -1:]
 
     def backward(g: Array) -> None:
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        dot = np.cumsum(g * out_data, axis=-1)[..., -1:]
         _accum(s, out_data * (g - dot))
 
     return _node(out_data, (s,), backward)

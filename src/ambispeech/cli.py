@@ -261,7 +261,8 @@ def cmd_predict(args) -> int:
         else:
             text_fs = ft.encode_dense(args.transcript, _checkpoint_table(args, meta),
                                       fcfg.text_t_max)
-    probs, aux = model.forward(audio_fs, text=text_fs)
+    with tr._no_tape(model):
+        probs, aux = model.forward(audio_fs, text=text_fs)
     attention = {}
     for key, weights in aux.items():
         if key == "logits":

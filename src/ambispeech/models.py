@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint
 from .autodiff import Tensor
-from .config import check_fields, read_section
+from .config import read_section
 from .corpus import INTENT_LABELS
 from .encoders import (attend, bre_forward, init_attention, init_bre,
                        self_attentive_pool)
@@ -41,7 +41,9 @@ class ModelVariant:
     text_mode: str = "none"
 
     def __post_init__(self):
-        check_fields(self, {})
+        for key, value in (("variant", self.tag), ("text_mode", self.text_mode)):
+            if type(value) is not str:
+                raise ConfigError(f"{key} must be a string, got {value!r}")
         if self.tag not in VARIANT_TAGS:
             raise ConfigError(f"unknown variant {self.tag!r}; expected one of {VARIANT_TAGS}")
         if self.text_mode not in TEXT_MODES:

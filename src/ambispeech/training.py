@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,19 +186,21 @@ def format_report(report: EvalReport) -> str:
 # ----------------------------------------------------------------- batching
 
 
+def _stack(seqs: list) -> tuple[Array, Array]:
+    """(data, mask) of end-aligned sequences, from the first column any of them uses."""
+    first = min(s.t_max - s.valid_len for s in seqs)
+    return np.stack([s.data[first:] for s in seqs]), np.stack([s.mask[first:] for s in seqs])
+
+
 class _Arrays:
-    """A featurized example list stacked into contiguous batch-ready arrays."""
+    """Examples stacked into batch-ready arrays, each modality as wide as its longest record."""
 
     def __init__(self, examples: list[Example]):
         self.ids = [e.id for e in examples]
-        self.audio = np.stack([e.audio.data for e in examples])
-        self.audio_mask = np.stack([e.audio.mask for e in examples])
+        self.audio, self.audio_mask = _stack([e.audio for e in examples])
+        self.text = self.text_mask = None
         if examples[0].text is not None:
-            self.text = np.stack([e.text.data for e in examples])
-            self.text_mask = np.stack([e.text.mask for e in examples])
-        else:
-            self.text = None
-            self.text_mask = None
+            self.text, self.text_mask = _stack([e.text for e in examples])
         self.labels = np.array([e.label for e in examples], dtype=np.int64)
 
     def __len__(self) -> int:
@@ -210,31 +213,38 @@ class _Arrays:
                              self.text[idx], self.text_mask[idx])
 
 
-def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Array, Array]:
-    """(probs (N, 7), argmax predictions (N,)) without building gradients:
-    the parameters stop requiring grad for the call, so no tape is kept.
-
-    The records run in ceil(N / EVAL_BUCKET) buckets of near-equal size,
-    cut from a stable sort by audio valid length, so that short records
-    share their leading all-padding columns and the LSTM skips them. No
-    bucket holds one record unless N == 1 (a batch of one takes BLAS's
-    matrix-vector path, whose last bits differ). Probabilities come back
-    in input order.
-    """
-    arrs = _Arrays(examples)
-    order = np.argsort(arrs.audio_mask.sum(axis=1), kind="stable")
-    buckets = np.array_split(order, -(-len(arrs) // EVAL_BUCKET))
+@contextmanager
+def _no_tape(model: IntentClassifier):
+    """The model's parameters stop requiring grad for the block, so no op records a tape."""
     params = [p for p in model.parameters() if p.requires_grad]
     for p in params:
         p.requires_grad = False
     try:
-        probs = np.empty((len(arrs), N_CLASSES))
-        for idx in buckets:
-            batch_probs, _ = arrs.forward(model, idx)
-            probs[idx] = batch_probs.data
+        yield
     finally:
         for p in params:
             p.requires_grad = True
+
+
+def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Array, Array]:
+    """(probs (N, 7), argmax predictions (N,)) without building gradients.
+
+    The records run in ceil(N / EVAL_BUCKET) buckets of near-equal size,
+    cut from a stable sort by audio valid length. Each bucket is stacked
+    on its own, each modality from the first column that the bucket's
+    longest record uses, so the LSTM, attention and input copies cover no
+    column that only padding fills. That changes no bit: masked steps
+    freeze the LSTM state, and masked_softmax sums left to right, so
+    leading padding adds nothing. No bucket holds one record unless N == 1
+    (a batch of one takes BLAS's matrix-vector path, whose last bits
+    differ). Probabilities come back in input order.
+    """
+    order = np.argsort([e.audio.valid_len for e in examples], kind="stable")
+    probs = np.empty((len(examples), N_CLASSES))
+    with _no_tape(model):
+        for idx in np.array_split(order, -(-len(examples) // EVAL_BUCKET)):
+            bucket = _Arrays([examples[i] for i in idx])
+            probs[idx] = bucket.forward(model, slice(None))[0].data
     return probs, probs.argmax(axis=1)
 
 

@@ -1,10 +1,11 @@
 """Acceptance gate for the whole package.
 
 Eight numbered criteria, each a single test that prints one visible
-PASS/FAIL line with its measured quantities. Criteria 2, 3, and 8 train
-real models on synthetic corpora with frozen seeds; expect a few minutes
-of wall time. Criterion 7 needs a real recorded corpus and is skipped
-unless AMBISPEECH_CORPUS_MANIFEST points at one.
+PASS/FAIL line with its measured quantities, plus a buffer-length test
+beside criterion 6. Criteria 2, 3, and 8 train real models on synthetic
+corpora with frozen seeds; expect a few minutes of wall time. Criterion 7
+needs a real recorded corpus and is skipped unless
+AMBISPEECH_CORPUS_MANIFEST points at one.
 """
 
 import math
@@ -309,6 +310,67 @@ def test_criterion_6_padding_invariance(capsys):
     announce(capsys, 6, "padding invariance", ok,
              f"10 trials x 6 variants bit-identical logits; failures: {failures or 'none'}")
     assert not failures
+
+
+def _lead(x, k):
+    """x (B, T, ...) with k more all-zero columns in front."""
+    return np.concatenate([np.zeros((x.shape[0], k) + x.shape[2:]), x], axis=1)
+
+
+def test_buffer_length_invariance():
+    """Criterion 6 varies the content of the padding; this varies its length.
+
+    k = 1..16 extra leading zero columns on the audio or the text buffer
+    leave probabilities and logits bit-identical, shift every attention map
+    by k with zeros in front, and leave every parameter gradient
+    bit-identical except those of the cross-attention projections
+    text_xatt.W and audio_xatt.W. Their gradient is matmul's backward
+    a.T @ g, a BLAS reduction over the B*T rows of the padded states, whose
+    blocking follows T, so its last bits may move (by up to 2e-19 where
+    seen); the check for those two is a 1e-15 bound.
+    """
+    rng = np.random.default_rng(46)
+    B = 4
+    for tag in md.VARIANT_TAGS:
+        tm = "none" if tag in md.AUDIO_ONLY_TAGS else "sparse"
+        model = md.IntentClassifier(md.ModelVariant.parse(tag, tm), audio_dim=9,
+                                    text_dim=8 if tm != "none" else None,
+                                    hidden=6, head_hidden=12, seed=3)
+        audio = [ft.end_align(rng.normal(size=(int(rng.integers(3, 21)), 9)), 20)
+                 for _ in range(B)]
+        text = [ft.end_align(rng.normal(size=(int(rng.integers(1, 11)), 8)), 10)
+                for _ in range(B)]
+        base = {"audio": (np.stack([s.data for s in audio]), np.stack([s.mask for s in audio])),
+                "text": (np.stack([s.data for s in text]), np.stack([s.mask for s in text]))}
+        labels = rng.integers(0, md.N_CLASSES, B)
+        modalities = ("audio", "text") if tm != "none" else ("audio",)
+
+        def run(inputs):
+            for p in model.parameters():
+                p.grad = None
+            probs, aux = model.forward(*(x for m in modalities for x in inputs[m]))
+            tr.cross_entropy(probs, labels).backward()
+            return probs.data, aux, {n: p.grad.copy() for n, p in model.named_parameters().items()}
+
+        probs0, aux0, grads0 = run(base)
+        for which in modalities:
+            for k in range(1, 17):
+                padded = dict(base)
+                padded[which] = tuple(_lead(x, k) for x in base[which])
+                probs, aux, grads = run(padded)
+                where = (tag, which, k)
+                assert np.array_equal(probs, probs0), where
+                assert np.array_equal(aux["logits"], aux0["logits"]), where
+                assert aux.keys() == aux0.keys(), where
+                for key, weights in aux0.items():
+                    if key != "logits":
+                        shift = k if key.startswith(which) else 0
+                        assert np.array_equal(aux[key], _lead(weights, shift)), (*where, key)
+                for name, g in grads0.items():
+                    if name.endswith(("text_xatt.W", "audio_xatt.W")):
+                        assert np.max(np.abs(grads[name] - g)) <= 1e-15, (*where, name)
+                    else:
+                        assert np.array_equal(grads[name], g), (*where, name)
 
 
 # --------------------------------------------------------------- criterion 7

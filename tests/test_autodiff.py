@@ -109,6 +109,29 @@ def test_masked_softmax_shift_invariant():
     np.testing.assert_allclose(p1, p2, atol=1e-12)
 
 
+def test_masked_softmax_ignores_leading_masked_columns():
+    # the sums run left to right, so leading masked slots, whatever their
+    # scores, change no bit of the output or of the gradient
+    rng = np.random.default_rng(3)
+    scores = rng.normal(size=(3, 40)) * 4.0
+    mask = (np.arange(40) >= np.array([[0], [17], [31]])).astype(float)
+    upstream = rng.normal(size=(3, 40))
+
+    def run(s, m, g):
+        t = Tensor(s, requires_grad=True)
+        p = ad.masked_softmax(t, m)
+        ad.sum_axis(ad.mul(p, g)).backward()
+        return p.data, t.grad
+
+    out0, grad0 = run(scores, mask, upstream)
+    for k in range(1, 17):
+        lead = rng.normal(size=(3, k)) * 50.0
+        out, grad = run(np.hstack([lead, scores]), np.hstack([np.zeros((3, k)), mask]),
+                        np.hstack([rng.normal(size=(3, k)), upstream]))
+        assert np.array_equal(out[:, k:], out0) and not out[:, :k].any(), k
+        assert np.array_equal(grad[:, k:], grad0) and not grad[:, :k].any(), k
+
+
 def test_masked_softmax_extreme_scores_stay_finite():
     p = ad.masked_softmax(Tensor(np.array([1e4, -1e4, 0.0])), np.ones(3))
     assert np.all(np.isfinite(p.data))

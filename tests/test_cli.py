@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -8,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ambispeech import autodiff as ad
 from ambispeech import cli
 from ambispeech import features as ft
 from ambispeech import models as md
+from ambispeech import training as tr
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +236,12 @@ def test_train_config_errors(corpus, tmp_path, capsys):
         assert cli.main(no_cache + flags + ["--config", str(cfg)]) == 2, (config, flags)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (config, flags, err)
+    # a wrong-typed variant or text mode is named by its config key
+    for config, says in (({"variant": 5}, "variant must be a string, got 5"),
+                         ({"variant": "ca", "text_mode": 7}, "text_mode must be a string, got 7")):
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(no_cache + ["--config", str(cfg)]) == 2, config
+        assert capsys.readouterr().err == f"error: {says}\n"
     assert cli.main(base + ["--variant", "audio_bre",
                             "--config", str(tmp_path / "ghost.json")]) == 1
 
@@ -351,6 +360,30 @@ def test_predict_emits_distribution_and_attention(corpus, trained, capsys):
     for weights in out["attention"].values():
         assert abs(sum(weights) - 1.0) < 1e-6
         assert all(w >= 0.0 for w in weights)
+
+
+def test_predict_records_no_tape(corpus, trained, capsys, monkeypatch):
+    wav = str(corpus / "corpus" / "wav" / "syn0000a.wav")
+    argv = ["predict", "--checkpoint", str(trained / "selected.ambi"),
+            "--wav", wav, "--transcript", "가나 다라까"]
+    recorded = []
+    real_node = ad._node
+
+    def spy(data, parents, backward):
+        out = real_node(data, parents, backward)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "_node", spy)
+    assert cli.main(argv) == 0
+    untaped = capsys.readouterr().out
+    assert recorded and not any(recorded)
+
+    recorded.clear()
+    monkeypatch.setattr(tr, "_no_tape", lambda model: contextlib.nullcontext())
+    assert cli.main(argv) == 0
+    assert any(recorded)  # the spy does see a taped forward
+    assert capsys.readouterr().out == untaped
 
 
 def test_predict_requires_transcript_for_text_models(corpus, trained):

@@ -497,6 +497,34 @@ def test_predict_batch_buckets_by_length_and_keeps_input_order(tag, text_mode, n
     assert all(a.max() <= b.min() for a, b in zip(buckets, buckets[1:]))
 
 
+@pytest.mark.parametrize("tag, text_mode", VARIANTS)
+def test_predict_batch_stacks_each_bucket_to_its_longest_record(tag, text_mode, monkeypatch):
+    n = 70
+    text = text_mode != "none"
+    examples = longtail_examples(n, text, np.random.default_rng(5))
+    model = IntentClassifier(ModelVariant(tag, text_mode), audio_dim=5,
+                             text_dim=4 if text else None, hidden=4, head_hidden=8, seed=3)
+    inputs = [np.stack([getattr(e.audio, k) for e in examples]) for k in ("data", "mask")]
+    if text:
+        inputs += [np.stack([getattr(e.text, k) for e in examples]) for k in ("data", "mask")]
+    with tr._no_tape(model):
+        whole, _ = model.forward(*inputs)  # every record at the full 40 (and 8) columns
+
+    widths = []  # per bucket and modality: (buffer width, longest valid length)
+    real_forward = IntentClassifier.forward
+
+    def spy(self, *args):
+        widths.append([(m.shape[1], m.sum(axis=1).max()) for m in args[1::2]])
+        return real_forward(self, *args)
+
+    monkeypatch.setattr(IntentClassifier, "forward", spy)
+    probs, _ = tr.predict_batch(model, examples)
+    assert np.array_equal(probs, whole.data)
+    assert len(widths) == -(-n // tr.EVAL_BUCKET)
+    assert all(width == longest for bucket in widths for width, longest in bucket)
+    assert min(bucket[0][0] for bucket in widths) < 40  # the short buckets are cut
+
+
 def test_predict_batch_restores_flags_when_forward_raises():
     model, examples = variant_and_examples("mha_a", "sparse", np.random.default_rng(22))
     audio_only = [replace(e, text=None) for e in examples]
