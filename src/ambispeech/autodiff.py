@@ -55,12 +55,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -179,28 +173,6 @@ def relu(a) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def log(a) -> Tensor:
-    """Natural log; caller guarantees positive inputs (see clip_min)."""
-    a = _wrap(a)
-    out_data = np.log(a.data)
-
-    def backward(g: Array) -> None:
-        _accum(a, g / a.data)
-
-    return _node(out_data, (a,), backward)
-
-
-def clip_min(a, floor: float) -> Tensor:
-    """max(a, floor) elementwise; gradient flows only where a > floor."""
-    a = _wrap(a)
-    out_data = np.maximum(a.data, floor)
-
-    def backward(g: Array) -> None:
-        _accum(a, g * (a.data > floor))
-
-    return _node(out_data, (a,), backward)
-
-
 # ------------------------------------------------------- shape manipulation
 
 
@@ -300,6 +272,34 @@ def masked_softmax(scores, mask) -> Tensor:
     return _node(out_data, (s,), backward)
 
 
+# ---------------------------------------------------------------------- loss
+
+
+def nll(probs, labels) -> Tensor:
+    """mean(-log(max(p[row, label], tiny))) over the rows of (B, C) probabilities.
+
+    tiny is the smallest normal float64, so the loss stays finite when a
+    labelled probability underflows to 0. The gradient at each labelled
+    entry is -1 / (B * p) where p > tiny, and 0 everywhere else.
+    """
+    p = _wrap(probs)
+    labels = np.asarray(labels)
+    if p.ndim != 2 or labels.shape != (p.shape[0],):
+        raise ShapeError(f"nll: probs {p.shape} do not fit labels {labels.shape}")
+    rows = np.arange(labels.shape[0])
+    picked = p.data[rows, labels]
+    tiny = np.finfo(np.float64).tiny
+    out_data = np.asarray((-np.log(np.maximum(picked, tiny))).mean())
+
+    def backward(g: Array) -> None:
+        live = picked > tiny
+        grad = np.zeros(p.shape)
+        grad[rows[live], labels[live]] = ((float(g) / labels.shape[0]) * -1.0) / picked[live]
+        _accum(p, grad)
+
+    return _node(out_data, (p,), backward)
+
+
 # every differentiable op the engine exposes, for exhaustive gradient tests
 REGISTERED_OPS: dict[str, Callable] = {
     "matmul": matmul,
@@ -307,14 +307,13 @@ REGISTERED_OPS: dict[str, Callable] = {
     "mul": mul,
     "tanh": tanh,
     "relu": relu,
-    "log": log,
-    "clip_min": clip_min,
     "reshape": reshape,
     "transpose": transpose,
     "sum_axis": sum_axis,
     "mean": mean,
     "concat_last": concat_last,
     "masked_softmax": masked_softmax,
+    "nll": nll,
 }
 
 

@@ -58,12 +58,9 @@ _COLUMNS = ("id", "audio", "transcript", "label", "speaker")
 _OPTIONAL_COLUMNS = ("alt_transcript",)
 
 
-def load_manifest(path, column_map: dict[str, str] | None = None) -> list[UtteranceRecord]:
+def load_manifest(path) -> list[UtteranceRecord]:
     """Read a TSV manifest with header id/audio/transcript/label/speaker
-    and an optional alt_transcript column.
-
-    column_map renames nonstandard headers, e.g. {"wav_path": "audio"}.
-    """
+    and an optional alt_transcript column."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -72,8 +69,6 @@ def load_manifest(path, column_map: dict[str, str] | None = None) -> list[Uttera
     if not lines:
         raise ManifestError(f"{path} line 1: empty manifest")
     header = lines[0].split("\t")
-    if column_map:
-        header = [column_map.get(h, h) for h in header]
     missing = [c for c in _COLUMNS if c not in header]
     if missing:
         raise ManifestError(f"{path} line 1: missing columns {missing}")

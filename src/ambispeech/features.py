@@ -151,8 +151,17 @@ def end_align(rows: Array, t_max: int | None = None) -> FeatureSequence:
 # ------------------------------------------------------------------- audio
 
 
-def _n_frames(n_samples: int, hop: int) -> int:
-    return -(-n_samples // hop)  # ceil
+def _frames(signal: AudioSignal, frame_length: int, hop: int) -> Array:
+    """(ceil(len/hop), frame_length) frames; frame t starts at sample t*hop,
+    and the tail is zero-padded to a whole frame."""
+    x = signal.samples
+    if x.shape[0] == 0:
+        raise EmptyInputError("cannot frame an empty signal")
+    n_frames = -(-x.shape[0] // hop)  # ceil
+    padded = np.zeros((n_frames - 1) * hop + frame_length)
+    padded[: x.shape[0]] = x
+    idx = np.arange(frame_length)[None, :] + hop * np.arange(n_frames)[:, None]
+    return padded[idx]
 
 
 def rmse_frames(signal: AudioSignal, frame_length: int, hop: int) -> Array:
@@ -164,14 +173,7 @@ def rmse_frames(signal: AudioSignal, frame_length: int, hop: int) -> Array:
     """
     if frame_length < 1 or hop < 1:
         raise ConfigError(f"frame_length and hop must be >= 1, got {frame_length}, {hop}")
-    x = signal.samples
-    if x.shape[0] == 0:
-        raise EmptyInputError("cannot frame an empty signal")
-    n_frames = _n_frames(x.shape[0], hop)
-    padded = np.zeros((n_frames - 1) * hop + frame_length)
-    padded[: x.shape[0]] = x
-    idx = np.arange(frame_length)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = padded[idx]
+    frames = _frames(signal, frame_length, hop)
     return np.sqrt(np.mean(frames * frames, axis=1))
 
 
@@ -217,15 +219,9 @@ def mel_center_frequencies(sample_rate: int, n_fft: int, n_mels: int) -> Array:
 
 def stft_power(signal: AudioSignal, n_fft: int, hop: int) -> Array:
     """Magnitude-squared Hann-windowed STFT; frame t starts at t*hop."""
-    x = signal.samples
-    if x.shape[0] == 0:
-        raise EmptyInputError("cannot transform an empty signal")
-    n_frames = _n_frames(x.shape[0], hop)
-    padded = np.zeros((n_frames - 1) * hop + n_fft)
-    padded[: x.shape[0]] = x
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+    frames = _frames(signal, n_fft, hop)
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
-    spectrum = np.fft.rfft(padded[idx] * window, axis=1)
+    spectrum = np.fft.rfft(frames * window, axis=1)
     return np.abs(spectrum) ** 2
 
 

@@ -71,8 +71,9 @@ class EvalReport:
 class Adam:
     """Adaptive-moment optimizer with bias correction."""
 
-    def __init__(self, params: list[Tensor], lr: float = 5e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = TrainConfig.learning_rate,
+                 beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
+                 eps: float = TrainConfig.eps):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -102,17 +103,14 @@ class Adam:
 
 
 def cross_entropy(probs: Tensor, label) -> Tensor:
-    """-log p[label] with a 1e-12 probability floor; batched input gives the mean."""
+    """-log p[label] with a floor at the smallest normal float; batched input gives the mean."""
     labels = np.atleast_1d(np.asarray(label))
     if labels.dtype.kind not in "iu" or np.any(labels < 0) or np.any(labels >= N_CLASSES):
         raise LabelError(f"labels must be integers in 0..{N_CLASSES - 1}, got {label!r}")
     p = probs if probs.ndim == 2 else ad.reshape(probs, (1, N_CLASSES))
     if p.shape != (labels.shape[0], N_CLASSES):
         raise ConfigError(f"probs shape {probs.shape} does not fit {labels.shape[0]} labels")
-    onehot = np.zeros((labels.shape[0], N_CLASSES))
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    picked = ad.sum_axis(ad.mul(p, onehot), axis=1)
-    return ad.mean(ad.mul(ad.log(ad.clip_min(picked, 1e-12)), -1.0))
+    return ad.nll(p, labels)
 
 
 # ------------------------------------------------------------------ metrics

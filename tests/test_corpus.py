@@ -97,14 +97,6 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
         cp.load_manifest(tmp_path / "absent.tsv")
 
 
-def test_manifest_column_map_renames(tmp_path):
-    path = tmp_path / "m.tsv"
-    path.write_text("uid\twav_path\ttranscript\tlabel\tspeaker\nr1\ta.wav\thi\tS\tm\n")
-    records = cp.load_manifest(path, column_map={"uid": "id", "wav_path": "audio"})
-    assert records[0].id == "r1"
-    assert records[0].audio == "a.wav"
-
-
 def test_manifest_skips_blank_lines(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("id\taudio\ttranscript\tlabel\tspeaker\n\nr1\ta.wav\thi\tS\tm\n\n")

@@ -54,10 +54,33 @@ def test_cross_entropy_batched_is_mean():
 
 
 def test_cross_entropy_floor_keeps_loss_finite():
-    p = np.zeros(7)
-    p[0] = 1.0
-    loss = tr.cross_entropy(Tensor(p), 1).item()
-    assert abs(loss - (-math.log(1e-12))) < 1e-9
+    # the floor is the smallest normal float64, so -log of it is about 708.396
+    p = Tensor(np.zeros(7), requires_grad=True)
+    p.data[0] = 1.0
+    loss = tr.cross_entropy(p, 1)
+    assert abs(loss.item() - (-math.log(np.finfo(np.float64).tiny))) < 1e-9
+    assert abs(loss.item() - 708.396) < 1e-3
+    loss.backward()  # p[label] == 0 gets no gradient, and no warning
+    np.testing.assert_array_equal(p.grad, np.zeros(7))
+
+
+def test_cross_entropy_keeps_gradient_when_confidently_wrong():
+    # a logit gap of 40 on the wrong class once hit the old 1e-12 floor:
+    # loss 27.63 and an all-zero gradient
+    z = Tensor(np.zeros((1, 7)), requires_grad=True)
+    z.data[0, 0] = 40.0
+    probs = ad.masked_softmax(z, np.ones((1, 7)))
+    loss = tr.cross_entropy(probs, np.array([1]))
+    assert abs(loss.item() - 40.0) < 1e-12
+    loss.backward()
+    np.testing.assert_allclose(z.grad, probs.data - np.eye(7)[[1]], rtol=0, atol=1e-15)
+
+
+def test_cross_entropy_is_one_node_on_the_probabilities():
+    probs = Tensor(np.full((2, 7), 1.0 / 7.0), requires_grad=True)
+    loss = tr.cross_entropy(probs, np.array([0, 4]))
+    assert len(loss._parents) == 1
+    assert loss._parents[0] is probs
 
 
 def test_cross_entropy_rejects_bad_labels():
