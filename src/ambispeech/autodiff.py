@@ -186,32 +186,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def transpose(a) -> Tensor:
-    a = _wrap(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.shape}")
-    out_data = a.data.T
-
-    def backward(g: Array) -> None:
-        _accum(a, g.T)
-
-    return _node(out_data, (a,), backward)
-
-
-def sum_axis(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g: Array) -> None:
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.shape).copy())
-
-    return _node(out_data, (a,), backward)
-
-
 def mean(a) -> Tensor:
     a = _wrap(a)
     n = a.data.size
@@ -266,10 +240,14 @@ def masked_softmax(scores, mask) -> Tensor:
     out_data = e / np.cumsum(e, axis=-1)[..., -1:]
 
     def backward(g: Array) -> None:
-        dot = np.cumsum(g * out_data, axis=-1)[..., -1:]
-        _accum(s, out_data * (g - dot))
+        _accum(s, _softmax_grad(out_data, g))
 
     return _node(out_data, (s,), backward)
+
+
+def _softmax_grad(out: Array, g: Array) -> Array:
+    """Score gradient of softmax output out; its dot runs left to right, as above."""
+    return out * (g - np.cumsum(g * out, axis=-1)[..., -1:])
 
 
 # ---------------------------------------------------------------------- loss
@@ -308,8 +286,6 @@ REGISTERED_OPS: dict[str, Callable] = {
     "tanh": tanh,
     "relu": relu,
     "reshape": reshape,
-    "transpose": transpose,
-    "sum_axis": sum_axis,
     "mean": mean,
     "concat_last": concat_last,
     "masked_softmax": masked_softmax,

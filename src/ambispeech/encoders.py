@@ -3,9 +3,10 @@
 The per-direction LSTM runs as a single fused graph node with a
 hand-written backward pass (BPTT); composing it from elementary ops costs
 roughly 20 graph nodes per timestep, which dominates runtime at this
-scale. Attention is built from elementary ops. Masked steps never enter
-the recurrence: the hidden and cell states carry over unchanged, and
-output rows at masked positions are exactly zero.
+scale. Additive attention is one fused node too, in place of a chain of
+13 elementary ops per call. Masked steps never enter the recurrence: the
+hidden and cell states carry over unchanged, and output rows at masked
+positions are exactly zero.
 """
 
 from __future__ import annotations
@@ -108,10 +109,9 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> T
     for t in order:
         mb = mask[:, t : t + 1] != 0.0
         pre = x[:, t] @ Wx + h @ Wh + b
-        i = 1.0 / (1.0 + np.exp(-pre[:, :h_size]))
-        f = 1.0 / (1.0 + np.exp(-pre[:, h_size : 2 * h_size]))
+        sig = 1.0 / (1.0 + np.exp(-pre))  # one call for all 4h columns; g's share goes unused
+        i, f, o = sig[:, :h_size], sig[:, h_size : 2 * h_size], sig[:, 3 * h_size :]
         g = np.tanh(pre[:, 2 * h_size : 3 * h_size])
-        o = 1.0 / (1.0 + np.exp(-pre[:, 3 * h_size :]))
         c_cand = f * c + i * g
         tc = np.tanh(c_cand)
         h_cand = o * tc
@@ -201,23 +201,40 @@ def attend(H, mask, ap: AttentionParams, context) -> tuple[Tensor, Tensor]:
 
     weights = masked_softmax(scores, mask) with a (B, T) mask, pooled =
     sum_t weights_t H_t; context is (B, d_c) or one shared (d_c,) vector.
+    pooled is one graph node with a hand-written backward; weights carries
+    no tape, so callers read only its data.
     """
-    Ht = ad._wrap(H)
+    Ht, ctx = ad._wrap(H), ad._wrap(context)
     m = np.asarray(mask, dtype=np.float64)
     if Ht.ndim != 3 or m.shape != Ht.shape[:2]:
         raise ShapeError(f"expected (B, T, S) states with (B, T) mask, got {Ht.shape}, {m.shape}")
     B, T, S = Ht.shape
-    d_c = ap.W.shape[0]
-    ctx = ad._wrap(context)
+    W = ap.W.data
+    d_c = W.shape[0]
     if ctx.shape[-1] != d_c:
         raise ShapeError(f"context dim {ctx.shape[-1]} != attention dim {d_c}")
-    proj = ad.reshape(ad.matmul(ad.reshape(Ht, (B * T, S)), ad.transpose(ap.W)), (B, T, d_c))
-    proj = ad.tanh(ad.add(proj, ap.b))
-    ctx3 = ad.reshape(ctx, (B, 1, d_c) if ctx.ndim == 2 else (1, 1, d_c))
-    scores = ad.sum_axis(ad.mul(proj, ctx3), axis=2)  # (B, T)
-    weights = ad.masked_softmax(scores, m)
-    pooled = ad.sum_axis(ad.mul(ad.reshape(weights, (B, T, 1)), Ht), axis=1)  # (B, S)
-    return weights, pooled
+    Hr = Ht.data.reshape(B * T, S)
+    proj = np.tanh((Hr @ W.T).reshape(B, T, d_c) + ap.b.data)
+    ctx3 = ctx.data.reshape((B, 1, d_c) if ctx.ndim == 2 else (1, 1, d_c))
+    weights = ad.masked_softmax((proj * ctx3).sum(axis=2), m)  # untaped: plain-array scores
+    w3 = weights.data.reshape(B, T, 1)
+    pooled = (w3 * Ht.data).sum(axis=1)
+
+    def backward(g: Array) -> None:
+        g3 = g.reshape(B, 1, S)
+        d_scores = ad._softmax_grad(weights.data, (g3 * Ht.data).sum(axis=2)).reshape(B, T, 1)
+        d_pre = (d_scores * ctx3) * (1.0 - proj * proj)
+        d_ctx = d_scores * proj
+        dP = d_pre.reshape(B * T, d_c)
+        # two accumulations, not one sum: H shared by two attends then sums
+        # its four parts in the order of the unfused chain, bit for bit
+        ad._accum(Ht, g3 * w3)
+        ad._accum(Ht, (dP @ W).reshape(B, T, S))
+        ad._accum(ap.W, (Hr.T @ dP).T)
+        ad._accum(ap.b, d_pre.sum(axis=0).sum(axis=0))
+        ad._accum(ctx, d_ctx.sum(axis=1) if ctx.ndim == 2 else d_ctx.sum(axis=0).sum(axis=0))
+
+    return weights, ad._node(pooled, (Ht, ap.W, ap.b, ctx), backward)
 
 
 def self_attentive_pool(H, mask, ap: AttentionParams) -> tuple[Tensor, Tensor]:

@@ -302,6 +302,8 @@ def read_wav(path) -> AudioSignal:
         raise DataError(f"{path}: expected 16-bit PCM, got {8 * width}-bit samples")
     if len(raw) != n_frames * channels * 2:  # wave returns short reads silently
         raise DataError(f"{path}: data chunk holds {len(raw)} of {n_frames * channels * 2} bytes")
+    if n_frames == 0:
+        raise DataError(f"{path}: holds no samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)

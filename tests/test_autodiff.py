@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from gradcases import op_check_cases
@@ -120,7 +123,7 @@ def test_masked_softmax_ignores_leading_masked_columns():
     def run(s, m, g):
         t = Tensor(s, requires_grad=True)
         p = ad.masked_softmax(t, m)
-        ad.sum_axis(ad.mul(p, g)).backward()
+        ad.matmul(ad.reshape(p, (1, g.size)), g.reshape(-1, 1)).backward()
         return p.data, t.grad
 
     out0, grad0 = run(scores, mask, upstream)
@@ -152,11 +155,6 @@ def test_masked_softmax_rejects_nonbinary_mask():
         ad.masked_softmax(Tensor(np.ones(3)), np.array([1.0, 0.5, 1.0]))
 
 
-def test_transpose_rejects_3d():
-    with pytest.raises(ShapeError):
-        ad.transpose(Tensor(np.ones((2, 2, 2))))
-
-
 def test_gradient_check_validates_eps():
     with pytest.raises(ShapeError):
         ad.gradient_check(lambda t: ad.mean(t), [Tensor(np.ones(3))], eps=0.1)
@@ -181,6 +179,15 @@ def test_gradient_check_reports_not_raises():
 def test_every_registered_op_is_covered():
     cases = op_check_cases(np.random.default_rng(0))
     assert set(cases) == set(ad.REGISTERED_OPS)
+
+
+def test_every_registered_op_has_a_caller():
+    # an op that a fused node orphans must leave the registry with it
+    root = Path(__file__).resolve().parents[1]
+    files = [*(root / "src" / "ambispeech").glob("*.py"), *(root / "demos").glob("*.py")]
+    text = "".join(f.read_text(encoding="utf-8") for f in files if f.name != "autodiff.py")
+    for name in ad.REGISTERED_OPS:
+        assert re.search(rf"\bad\.{name}\(", text), name
 
 
 @pytest.mark.parametrize("name", sorted(ad.REGISTERED_OPS))

@@ -333,6 +333,23 @@ def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, 
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_zero_sample_wav_is_a_data_error(corpus, trained, tmp_path, capsys, command):
+    bad = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(bad), "--n-scripts", "2", "--seed", "2"]) == 0
+    wav = sorted((bad / "wav").iterdir())[0]
+    ft.write_wav(wav, ft.AudioSignal(np.zeros(0), 16000))
+    capsys.readouterr()
+    argv = [command, "--checkpoint", str(trained / "selected.ambi")]
+    if command == "eval":
+        argv += ["--manifest", str(bad / "manifest.tsv")]
+    else:
+        argv += ["--wav", str(wav), "--transcript", "가나 다라까"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "holds no samples" in err
+
+
 def test_eval_missing_checkpoint(corpus):
     assert cli.main(["eval", "--checkpoint", str(corpus / "ghost.ambi"),
                      "--manifest", manifest(corpus)]) == 1

@@ -124,7 +124,7 @@ def test_lstm_runs_only_columns_with_a_valid_row(reverse, monkeypatch):
         for p in weights:
             p.grad = None
         packed = en._lstm_direction(inp, m, d, reverse)
-        ad.sum_axis(ad.mul(packed, weight)).backward()
+        ad.matmul(ad.reshape(packed, (1, weight.size)), weight.reshape(-1, 1)).backward()
         return packed.data, [p.grad.copy() for p in weights]
 
     trimmed, trimmed_grads = run(x[:, cols], mask[:, cols], w[:, keep])
@@ -300,6 +300,48 @@ def test_gradient_flows_into_learned_context():
         return ad.mean(pooled)
 
     assert ad.gradient_check(loss, [ap.c]) < 1e-4
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_attend_is_one_node(shared, monkeypatch):
+    rng = np.random.default_rng(22)
+    ap = en.init_attention(rng, d_c=3, state_dim=4, learned_context=shared)
+    H = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    ctx = ap.c if shared else Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    taped = []
+    real_node = ad._node
+
+    def spy(data, parents, backward):
+        out = real_node(data, parents, backward)
+        if out.requires_grad:
+            taped.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_node", spy)
+    w, pooled = en.attend(H, np.ones((2, 5)), ap, ctx)
+    assert len(taped) == 1 and taped[0] is pooled
+    assert pooled._parents == (H, ap.W, ap.b, ctx)
+    assert not w.requires_grad and w._parents == ()
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_attend_gradient_matches_finite_differences(shared):
+    # a shared (d_c,) context, or one per row as cross-attention passes it,
+    # over rows with 0, 2 and 5 leading masked steps
+    rng = np.random.default_rng(23 if shared else 24)
+    H = Tensor(rng.normal(size=(3, 6, 4)))
+    W = Tensor(rng.normal(size=(3, 4)))
+    b = Tensor(rng.normal(size=3))
+    ctx = Tensor(rng.normal(size=(3,) if shared else (3, 3)))
+    mask = (np.arange(6) >= np.array([[0], [2], [5]])).astype(float)
+    probe = rng.normal(size=(3, 4))
+
+    def loss(H, W, b, c):
+        _, pooled = en.attend(H, mask, en.AttentionParams(W, b), c)
+        return ad.mean(ad.mul(pooled, probe))
+
+    assert ad.gradient_check(loss, [H, W, b, ctx]) < 1e-6
+    assert not H.grad[mask == 0.0].any()
 
 
 def test_attention_padding_invariance():

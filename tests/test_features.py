@@ -309,6 +309,7 @@ def test_read_wav_rejects_non_wav(tmp_path):
         "float32": riff(np.zeros(50, dtype="<f4").tobytes(), fmt_tag=3, bits=32),
         "half_data": full[: len(full) // 2],
         "header_only": full[:30],
+        "no_samples": riff(b""),
     }
     for name, raw in inputs.items():
         path = tmp_path / f"{name}.wav"
