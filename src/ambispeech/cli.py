@@ -2,13 +2,14 @@
 
 Configuration comes from an optional JSON file plus flag overrides; the
 cache directory can also come from AMBISPEECH_CACHE_DIR (flag beats env
-beats config). Exit codes: 0 success, 1 data error, 2 config error.
+beats config). featurize, train and eval read and fill the one frame cache
+that features.frame_matrix keeps. Exit codes: 0 success, 1 data error,
+2 config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from .errors import (ConfigError, DataError, DegenerateMaskError,
                      EmptyInputError, LabelError, ModalityError, ShapeError)
 
 CACHE_ENV = "AMBISPEECH_CACHE_DIR"
-_CACHE_VERSION = "ambf1"
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _load_config(args) -> dict:
                 cfg = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
     cfg = read_section("top-level", cfg, _TOP_KEYS)
     for section, (name, keys) in _SECTIONS.items():
@@ -78,51 +78,6 @@ def _load_config(args) -> dict:
     cfg["train"] = tr.TrainConfig(**cfg["train"])
     cfg["paths"] = _Paths(**cfg["paths"])
     return cfg
-
-
-def _cache_key(wav_bytes: bytes, fcfg: ft.FeatureConfig) -> str:
-    tag = f"{_CACHE_VERSION}|{fcfg.sample_rate}|{fcfg.n_fft}|{fcfg.hop}|{fcfg.n_mels}|{fcfg.log_mel}|"
-    return hashlib.sha256(tag.encode() + wav_bytes).hexdigest()
-
-
-def _caching_frame_loader(fcfg: ft.FeatureConfig, cache_dir: str, base_dir: str,
-                          counters: dict | None = None):
-    """Frame loader for featurize_corpus that reads/writes the cache.
-
-    The cache stores the unaligned frame matrix (all-ones mask), so one
-    record serves any later t_max. An entry counts as reused only once it
-    has loaded; a corrupt one is recomputed, overwritten and counted as
-    computed.
-    """
-    os.makedirs(cache_dir, exist_ok=True)
-    counters = {} if counters is None else counters
-
-    def load(record: cp.UtteranceRecord) -> np.ndarray:
-        path = os.path.join(base_dir, record.audio)
-        with open(path, "rb") as fh:
-            key = _cache_key(fh.read(), fcfg)
-        entry = os.path.join(cache_dir, key + ".ambf")
-        if os.path.exists(entry):
-            try:
-                rows = ft.load_feature_sequence(entry).valid_rows()
-            except DataError:
-                pass  # a corrupt entry is recomputed and overwritten below
-            else:
-                counters["reused"] = counters.get("reused", 0) + 1
-                return rows
-        mat = ft.audio_frame_matrix(ft.read_wav(path), fcfg)
-        ft.save_feature_sequence(entry, ft.end_align(mat))
-        counters["computed"] = counters.get("computed", 0) + 1
-        return mat
-
-    return load
-
-
-def _featurize(records, fcfg, text_mode, table, cache_dir, base_dir, use_alt=False):
-    loader = None if cache_dir is None else _caching_frame_loader(fcfg, cache_dir, base_dir)
-    return cp.featurize_corpus(records, fcfg, text_mode, table=table,
-                               use_alt_transcript=use_alt, frame_loader=loader,
-                               base_dir=base_dir)
 
 
 # -------------------------------------------------------------- subcommands
@@ -149,16 +104,16 @@ def cmd_featurize(args) -> int:
         raise ConfigError("featurize needs a cache dir (flag, env, or config)")
     records = cp.load_manifest(paths.manifest)
     base_dir = os.path.dirname(os.path.abspath(paths.manifest))
-    loader = _caching_frame_loader(cfg["features"], paths.cache_dir, base_dir,
-                                   counters := {"computed": 0, "reused": 0})
-    failures = []
+    os.makedirs(paths.cache_dir, exist_ok=True)
+    failures, reused = [], 0
     for r in records:
         try:
-            loader(r)
+            reused += ft.frame_matrix(os.path.join(base_dir, r.audio), cfg["features"],
+                                      paths.cache_dir)[1]
         except (DataError, OSError, ValueError) as exc:
             failures.append((r.id, str(exc)))
-    print(f"featurized {len(records) - len(failures)}/{len(records)} records "
-          f"(computed {counters['computed']}, reused {counters['reused']})")
+    done = len(records) - len(failures)
+    print(f"featurized {done}/{len(records)} records (computed {done - reused}, reused {reused})")
     if failures:
         for rid, msg in failures:
             print(f"FAILED {rid}: {msg}", file=sys.stderr)
@@ -179,8 +134,8 @@ def cmd_train(args) -> int:
         if paths.embedding is None:
             raise ConfigError("dense text mode needs an embedding table path")
         table = cp.load_embedding_table(paths.embedding)
-    examples, resolved = _featurize(records, cfg["features"], variant.text_mode, table,
-                                    paths.cache_dir, base_dir)
+    examples, resolved = cp.featurize_corpus(records, cfg["features"], variant.text_mode, table,
+                                             cache_dir=paths.cache_dir, base_dir=base_dir)
     text_dim = examples[0].text.dim if examples[0].text is not None else None
     model = md.IntentClassifier(variant, resolved.audio_dim, text_dim, seed=tcfg.seed,
                                 **cfg["model"])
@@ -236,8 +191,9 @@ def cmd_eval(args) -> int:
     records = cp.load_manifest(paths.manifest)
     base_dir = os.path.dirname(os.path.abspath(paths.manifest))
     table = _checkpoint_table(args, meta) if meta["text_mode"] == "dense" else None
-    examples, _ = _featurize(records, fcfg, meta["text_mode"], table, paths.cache_dir, base_dir,
-                             use_alt=args.use_alt_transcript)
+    examples, _ = cp.featurize_corpus(records, fcfg, meta["text_mode"], table,
+                                      use_alt_transcript=args.use_alt_transcript,
+                                      cache_dir=paths.cache_dir, base_dir=base_dir)
     report = tr.evaluate(model, examples)
     text = tr.format_report(report)
     if args.out:

@@ -64,7 +64,7 @@ def load_manifest(path) -> list[UtteranceRecord]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     if not lines:
         raise ManifestError(f"{path} line 1: empty manifest")
@@ -131,7 +131,7 @@ def load_embedding_table(path) -> EmbeddingTable:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read embedding table {path}: {exc}") from exc
     if not lines:
         raise ManifestError(f"{path} line 1: empty table file")
@@ -184,13 +184,14 @@ class Example:
 
 def featurize_corpus(records: list[UtteranceRecord], cfg: FeatureConfig, text_mode: str,
                      table: EmbeddingTable | None = None, use_alt_transcript: bool = False,
-                     frame_loader=None, base_dir=None) -> tuple[list[Example], FeatureConfig]:
+                     cache_dir=None, base_dir=None) -> tuple[list[Example], FeatureConfig]:
     """Turn manifest records into aligned Examples.
 
     Unresolved t_max fields are filled from the longest utterance seen, and
     the resolved config is returned for persisting alongside any model.
-    frame_loader overrides WAV reading + framing (the CLI passes a caching
-    one); base_dir resolves relative audio paths (defaults to the cwd).
+    Audio frames come from features.frame_matrix: cache_dir, created if
+    missing, keeps them in the cache that `ambispeech featurize` fills.
+    base_dir resolves relative audio paths (defaults to the cwd).
     """
     if text_mode not in ("none", "sparse", "dense"):
         raise ConfigError(f"unknown text mode {text_mode!r}")
@@ -198,13 +199,11 @@ def featurize_corpus(records: list[UtteranceRecord], cfg: FeatureConfig, text_mo
         raise ConfigError("dense text mode needs an embedding table")
     if not records:
         raise EmptyInputError("no records to featurize")
+    if cache_dir is not None:
+        os.makedirs(cache_dir, exist_ok=True)
 
-    if frame_loader is None:
-        def frame_loader(record: UtteranceRecord) -> Array:
-            audio_path = record.audio if base_dir is None else os.path.join(base_dir, record.audio)
-            return ft.audio_frame_matrix(ft.read_wav(audio_path), cfg)
-
-    frame_mats = [frame_loader(r) for r in records]
+    frame_mats = [ft.frame_matrix(os.path.join(base_dir or "", r.audio), cfg, cache_dir)[0]
+                  for r in records]
 
     def text_of(r: UtteranceRecord) -> str:
         if not use_alt_transcript:

@@ -10,6 +10,7 @@ whose valid rows sit at the END, described by a 0/1 mask.
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
 import struct
 import wave
@@ -327,6 +328,7 @@ def write_wav(path, signal: AudioSignal) -> None:
 # ------------------------------------------------------------ cache records
 
 _CACHE_MAGIC = b"AMBF1"
+_CACHE_VERSION = "ambf1"  # part of every entry name: bump it when the frame bits change
 
 
 def save_feature_sequence(path, fs: FeatureSequence) -> None:
@@ -361,6 +363,31 @@ def load_feature_sequence(path) -> FeatureSequence:
         return FeatureSequence(data.astype(np.float64), mask.astype(np.float64))
     except (ShapeError, EmptyInputError) as exc:
         raise DataError(f"{path} holds an invalid feature sequence: {exc}") from exc
+
+
+def frame_matrix(path, cfg: FeatureConfig, cache_dir=None) -> tuple[Array, bool]:
+    """The audio_frame_matrix of a WAV, and whether it came from the cache.
+
+    An entry is named by a hash of the WAV's bytes and of the config fields
+    the frames depend on, so the library and the CLI share entries. It holds
+    the unaligned matrix (all-ones mask), so one entry serves any t_max. A
+    corrupt entry is recomputed and overwritten. cache_dir must exist;
+    without one the frames are computed and nothing is stored.
+    """
+    if cache_dir is None:
+        return audio_frame_matrix(read_wav(path), cfg), False
+    tag = f"{_CACHE_VERSION}|{cfg.sample_rate}|{cfg.n_fft}|{cfg.hop}|{cfg.n_mels}|{cfg.log_mel}|"
+    with open(path, "rb") as fh:
+        key = hashlib.sha256(tag.encode() + fh.read()).hexdigest()
+    entry = os.path.join(cache_dir, key + ".ambf")
+    if os.path.exists(entry):
+        try:
+            return load_feature_sequence(entry).valid_rows(), True
+        except DataError:
+            pass  # a corrupt entry is recomputed and overwritten below
+    mat = audio_frame_matrix(read_wav(path), cfg)
+    save_feature_sequence(entry, end_align(mat))
+    return mat, False
 
 
 def resolve_t_max(cfg: FeatureConfig, audio_t: int | None = None, text_t: int | None = None) -> FeatureConfig:

@@ -249,7 +249,7 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
     try:
         with open(sidecar, encoding="utf-8") as fh:
             meta = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read sidecar {sidecar}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc

@@ -279,14 +279,29 @@ def test_criterion_5_feature_oracles(capsys):
 # --------------------------------------------------------------- criterion 6
 
 
+def perturb(model, seed):
+    """Add 0.3 N(0, 1) to every parameter, learned attention contexts c included.
+
+    A fresh model's contexts are 0, which makes every self-attentive score 0
+    whatever its W and b: the projection then reaches neither the logits nor
+    any gradient. Perturbed weights exercise it.
+    """
+    rng = np.random.default_rng(seed)
+    model.load_state({name: w + 0.3 * rng.normal(size=w.shape)
+                      for name, w in model.state().items()})
+    return model
+
+
 def test_criterion_6_padding_invariance(capsys):
     rng = np.random.default_rng(45)
     failures = []
-    for tag in md.VARIANT_TAGS:
+    for init, tag in [(i, t) for i in ("fresh", "perturbed") for t in md.VARIANT_TAGS]:
         tm = "none" if tag in md.AUDIO_ONLY_TAGS else "sparse"
         model = md.IntentClassifier(md.ModelVariant.parse(tag, tm), audio_dim=9,
                                     text_dim=8 if tm != "none" else None,
                                     hidden=6, head_hidden=12, seed=2)
+        if init == "perturbed":
+            perturb(model, 45)
         for trial in range(10):
             audio = ft.end_align(rng.normal(size=(int(rng.integers(2, 6)), 9)), 8)
             kwargs = {}
@@ -305,10 +320,11 @@ def test_criterion_6_padding_invariance(capsys):
                 kwargs = {"text": t2, "text_mask": text.mask}
             _, aux2 = model.forward(a2, audio_mask=audio.mask, **kwargs)
             if not np.array_equal(aux1["logits"], aux2["logits"]):
-                failures.append((tag, trial))
+                failures.append((init, tag, trial))
     ok = not failures
     announce(capsys, 6, "padding invariance", ok,
-             f"10 trials x 6 variants bit-identical logits; failures: {failures or 'none'}")
+             f"10 trials x 6 variants x fresh and perturbed weights bit-identical logits; "
+             f"failures: {failures or 'none'}")
     assert not failures
 
 
@@ -324,18 +340,22 @@ def test_buffer_length_invariance():
     leave probabilities and logits bit-identical, shift every attention map
     by k with zeros in front, and leave every parameter gradient
     bit-identical except those of the cross-attention projections
-    text_xatt.W and audio_xatt.W. Their gradient is matmul's backward
-    a.T @ g, a BLAS reduction over the B*T rows of the padded states, whose
-    blocking follows T, so its last bits may move (by up to 2e-19 where
-    seen); the check for those two is a 1e-15 bound.
+    text_xatt.W and audio_xatt.W. Their gradient is the fused attend's
+    backward Hr.T @ dP, a BLAS reduction over the B*T rows of the padded
+    states, whose blocking follows T, so its last bits may move (by up to
+    2e-19 where seen); the check for those two is a 1e-15 bound. Every
+    variant runs with fresh weights and with perturbed ones.
     """
     rng = np.random.default_rng(46)
     B = 4
     for tag in md.VARIANT_TAGS:
         tm = "none" if tag in md.AUDIO_ONLY_TAGS else "sparse"
-        model = md.IntentClassifier(md.ModelVariant.parse(tag, tm), audio_dim=9,
-                                    text_dim=8 if tm != "none" else None,
-                                    hidden=6, head_hidden=12, seed=3)
+
+        def build():
+            return md.IntentClassifier(md.ModelVariant.parse(tag, tm), audio_dim=9,
+                                       text_dim=8 if tm != "none" else None,
+                                       hidden=6, head_hidden=12, seed=3)
+
         audio = [ft.end_align(rng.normal(size=(int(rng.integers(3, 21)), 9)), 20)
                  for _ in range(B)]
         text = [ft.end_align(rng.normal(size=(int(rng.integers(1, 11)), 8)), 10)
@@ -345,32 +365,33 @@ def test_buffer_length_invariance():
         labels = rng.integers(0, md.N_CLASSES, B)
         modalities = ("audio", "text") if tm != "none" else ("audio",)
 
-        def run(inputs):
+        def run(model, inputs):
             for p in model.parameters():
                 p.grad = None
             probs, aux = model.forward(*(x for m in modalities for x in inputs[m]))
             tr.cross_entropy(probs, labels).backward()
             return probs.data, aux, {n: p.grad.copy() for n, p in model.named_parameters().items()}
 
-        probs0, aux0, grads0 = run(base)
-        for which in modalities:
-            for k in range(1, 17):
-                padded = dict(base)
-                padded[which] = tuple(_lead(x, k) for x in base[which])
-                probs, aux, grads = run(padded)
-                where = (tag, which, k)
-                assert np.array_equal(probs, probs0), where
-                assert np.array_equal(aux["logits"], aux0["logits"]), where
-                assert aux.keys() == aux0.keys(), where
-                for key, weights in aux0.items():
-                    if key != "logits":
-                        shift = k if key.startswith(which) else 0
-                        assert np.array_equal(aux[key], _lead(weights, shift)), (*where, key)
-                for name, g in grads0.items():
-                    if name.endswith(("text_xatt.W", "audio_xatt.W")):
-                        assert np.max(np.abs(grads[name] - g)) <= 1e-15, (*where, name)
-                    else:
-                        assert np.array_equal(grads[name], g), (*where, name)
+        for init, model in (("fresh", build()), ("perturbed", perturb(build(), 46))):
+            probs0, aux0, grads0 = run(model, base)
+            for which in modalities:
+                for k in range(1, 17):
+                    padded = dict(base)
+                    padded[which] = tuple(_lead(x, k) for x in base[which])
+                    probs, aux, grads = run(model, padded)
+                    where = (tag, init, which, k)
+                    assert np.array_equal(probs, probs0), where
+                    assert np.array_equal(aux["logits"], aux0["logits"]), where
+                    assert aux.keys() == aux0.keys(), where
+                    for key, weights in aux0.items():
+                        if key != "logits":
+                            shift = k if key.startswith(which) else 0
+                            assert np.array_equal(aux[key], _lead(weights, shift)), (*where, key)
+                    for name, g in grads0.items():
+                        if name.endswith(("text_xatt.W", "audio_xatt.W")):
+                            assert np.max(np.abs(grads[name] - g)) <= 1e-15, (*where, name)
+                        else:
+                            assert np.array_equal(grads[name], g), (*where, name)
 
 
 # --------------------------------------------------------------- criterion 7

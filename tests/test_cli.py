@@ -11,6 +11,7 @@ import pytest
 
 from ambispeech import autodiff as ad
 from ambispeech import cli
+from ambispeech import corpus as cp
 from ambispeech import features as ft
 from ambispeech import models as md
 from ambispeech import training as tr
@@ -108,6 +109,27 @@ def test_featurize_requires_cache_dir_and_manifest(corpus):
     assert cli.main(["featurize", "--cache-dir", str(corpus / "c")]) == 2
     assert cli.main(["featurize", "--manifest", str(corpus / "absent.tsv"),
                      "--cache-dir", str(corpus / "c")]) == 1
+
+
+def test_library_and_cli_share_cache_entries(corpus, capsys, tmp_path):
+    cache = tmp_path / "shared"
+    records = cp.load_manifest(manifest(corpus))
+    cp.featurize_corpus(records, ft.FeatureConfig(n_mels=8, n_fft=256, hop=128), "none",
+                        cache_dir=str(cache), base_dir=str(corpus / "corpus"))
+    assert len(os.listdir(cache)) == 12
+    assert cli.main(["featurize", "--config", str(corpus / "cfg.json"),
+                     "--manifest", manifest(corpus), "--cache-dir", str(cache)]) == 0
+    assert "featurized 12/12 records (computed 0, reused 12)" in capsys.readouterr().out
+
+
+def test_featurize_into_a_file_is_one_error(corpus, capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("x", encoding="utf-8")
+    assert cli.main(["featurize", "--manifest", manifest(corpus),
+                     "--cache-dir", str(not_a_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cache_dir_precedence(corpus, monkeypatch, tmp_path):
@@ -331,6 +353,27 @@ def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, 
         err = capsys.readouterr().err
         assert err.startswith("error: ") and says in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which, code", [("manifest", 1), ("embedding", 1), ("config", 2),
+                                         ("sidecar", 1)])
+def test_non_utf8_text_file_is_one_error(corpus, trained, tmp_path, capsys, which, code):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\n")
+    ckpt = tmp_path / "m.ambi"
+    ckpt.write_bytes((trained / "selected.ambi").read_bytes())
+    (tmp_path / "m.ambi.json").write_bytes(b"\xff\n")
+    train = ["train", "--manifest", manifest(corpus), "--out", str(tmp_path / "run"),
+             "--variant", "mha_a"]
+    argv = {
+        "manifest": ["featurize", "--manifest", str(bad), "--cache-dir", str(tmp_path / "c")],
+        "embedding": train + ["--text-mode", "dense", "--embedding", str(bad)],
+        "config": train + ["--text-mode", "sparse", "--config", str(bad)],
+        "sidecar": ["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus)],
+    }[which]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ambispeech import corpus as cp
+from ambispeech import features as ft
 from ambispeech import hangul
 from ambispeech import synth as sy
 from ambispeech.errors import (ConfigError, DataError, EmptyInputError, LabelError,
@@ -152,18 +153,20 @@ def test_embedding_table_errors_carry_line_numbers(tmp_path):
 # ----------------------------------------------------------------- pipeline
 
 
-def fake_loader(n_frames):
-    def loader(record):
-        rng = np.random.default_rng(abs(hash(record.id)) % 2**32)
-        return rng.normal(size=(n_frames[record.id], 4))
-    return loader
+def fake_frames(monkeypatch, n_frames):
+    """Stand in for features.frame_matrix: n_frames maps a WAV file name to its frame count."""
+    def frame_matrix(path, cfg, cache_dir=None):
+        name = os.path.basename(path)
+        rng = np.random.default_rng(sorted(n_frames).index(name))
+        return rng.normal(size=(n_frames[name], 4)), False
+    monkeypatch.setattr(ft, "frame_matrix", frame_matrix)
 
 
-def test_featurize_resolves_t_max_from_longest():
+def test_featurize_resolves_t_max_from_longest(monkeypatch):
     records = records_for_tests()
     cfg = FeatureConfig(n_mels=3, n_fft=256, hop=128)
-    examples, resolved = cp.featurize_corpus(
-        records, cfg, "sparse", frame_loader=fake_loader({"r1": 5, "r2": 9}))
+    fake_frames(monkeypatch, {"r1.wav": 5, "r2.wav": 9})
+    examples, resolved = cp.featurize_corpus(records, cfg, "sparse")
     assert resolved.audio_t_max == 9
     assert resolved.text_t_max == 2  # longest primary transcript
     assert all(e.audio.data.shape == (9, 4) for e in examples)
@@ -172,47 +175,45 @@ def test_featurize_resolves_t_max_from_longest():
     assert [e.label for e in examples] == [0, 1]
 
 
-def test_featurize_respects_explicit_t_max():
+def test_featurize_respects_explicit_t_max(monkeypatch):
     records = records_for_tests()
     cfg = FeatureConfig(n_mels=3, n_fft=256, hop=128, audio_t_max=4, text_t_max=6)
-    examples, resolved = cp.featurize_corpus(
-        records, cfg, "sparse", frame_loader=fake_loader({"r1": 5, "r2": 9}))
+    fake_frames(monkeypatch, {"r1.wav": 5, "r2.wav": 9})
+    examples, resolved = cp.featurize_corpus(records, cfg, "sparse")
     assert (resolved.audio_t_max, resolved.text_t_max) == (4, 6)
     # overlong audio keeps its trailing frames
     assert all(e.audio.data.shape == (4, 4) for e in examples)
 
 
-def test_featurize_text_modes():
+def test_featurize_text_modes(monkeypatch):
     records = records_for_tests()
     cfg = FeatureConfig(n_mels=3, n_fft=256, hop=128)
-    loader = fake_loader({"r1": 5, "r2": 5})
+    fake_frames(monkeypatch, {"r1.wav": 5, "r2.wav": 5})
 
-    examples, resolved = cp.featurize_corpus(records, cfg, "none", frame_loader=loader)
+    examples, resolved = cp.featurize_corpus(records, cfg, "none")
     assert all(e.text is None for e in examples)
     assert resolved.text_t_max is None
 
     table = EmbeddingTable({"가": np.array([1.0, 2.0, 3.0])}, 3)
-    examples, _ = cp.featurize_corpus(records, cfg, "dense", table=table,
-                                      frame_loader=loader)
+    examples, _ = cp.featurize_corpus(records, cfg, "dense", table=table)
     assert examples[0].text.data.shape[1] == 3
 
     with pytest.raises(ConfigError):
-        cp.featurize_corpus(records, cfg, "dense", frame_loader=loader)
+        cp.featurize_corpus(records, cfg, "dense")
     with pytest.raises(ConfigError):
-        cp.featurize_corpus(records, cfg, "onehot", frame_loader=loader)
+        cp.featurize_corpus(records, cfg, "onehot")
     with pytest.raises(EmptyInputError):
-        cp.featurize_corpus([], cfg, "none", frame_loader=loader)
+        cp.featurize_corpus([], cfg, "none")
 
 
-def test_featurize_alt_transcript_switch():
+def test_featurize_alt_transcript_switch(monkeypatch):
     records = records_for_tests()
     cfg = FeatureConfig(n_mels=3, n_fft=256, hop=128)
-    loader = fake_loader({"r1": 5, "r2": 5})
+    fake_frames(monkeypatch, {"r1.wav": 5, "r2.wav": 5})
     with pytest.raises(ConfigError, match="r1"):
-        cp.featurize_corpus(records, cfg, "sparse", use_alt_transcript=True,
-                            frame_loader=loader)
+        cp.featurize_corpus(records, cfg, "sparse", use_alt_transcript=True)
     examples, resolved = cp.featurize_corpus(records[1:], cfg, "sparse",
-                                             use_alt_transcript=True, frame_loader=loader)
+                                             use_alt_transcript=True)
     assert resolved.text_t_max == len("가가 가다")
     assert examples[0].text.valid_len == 5
 

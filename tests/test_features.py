@@ -1,5 +1,8 @@
+import hashlib
+import os
 import struct
 import wave
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,6 +346,38 @@ def test_feature_cache_round_trip(tmp_path):
     back = ft.load_feature_sequence(path)
     np.testing.assert_array_equal(back.data, fs.data)
     np.testing.assert_array_equal(back.mask, fs.mask)
+
+
+def test_frame_matrix_cache_hit_is_bit_identical(tmp_path):
+    wav = tmp_path / "a.wav"
+    ft.write_wav(wav, sine(440.0, seconds=0.05, amp=0.6))
+    cfg = ft.FeatureConfig(n_mels=8, n_fft=256, hop=128)
+    fresh, reused = ft.frame_matrix(wav, cfg)
+    assert not reused
+    for expect_reused in (False, True):
+        mat, reused = ft.frame_matrix(wav, cfg, tmp_path)
+        assert reused is expect_reused
+        np.testing.assert_array_equal(mat, fresh)
+
+
+def test_frame_cache_entry_names(tmp_path, monkeypatch):
+    """sha256 over a tag of the fields the frames depend on, then the WAV's bytes."""
+    wav = tmp_path / "a.wav"
+    ft.write_wav(wav, sine(440.0, seconds=0.05, amp=0.6))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    # a stub, so that a sample rate the WAV does not have still gets an entry
+    monkeypatch.setattr(ft, "audio_frame_matrix", lambda signal, cfg: np.ones((3, cfg.audio_dim)))
+    cfg = ft.FeatureConfig(n_mels=8, n_fft=256, hop=128)
+    assert ft.frame_matrix(wav, cfg, cache)[1] is False
+    tag = b"ambf1|16000|256|128|8|True|"
+    assert os.listdir(cache) == [hashlib.sha256(tag + wav.read_bytes()).hexdigest() + ".ambf"]
+    for field, value in [("sample_rate", 8000), ("n_fft", 512), ("hop", 64), ("n_mels", 9),
+                         ("log_mel", False), ("audio_t_max", 5), ("text_t_max", 5)]:
+        before = set(os.listdir(cache))
+        reused = ft.frame_matrix(wav, replace(cfg, **{field: value}), cache)[1]
+        added = set(os.listdir(cache)) - before
+        assert (reused, len(added)) == ((True, 0) if field.endswith("t_max") else (False, 1)), field
 
 
 def test_feature_cache_rejects_corruption(tmp_path):
