@@ -186,6 +186,22 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
+def index(a, key) -> Tensor:
+    """a[key] for a basic-indexing key of ints and slices, as a copy."""
+    a = _wrap(a)
+    # an array key may repeat an entry, which the scattering backward would count once
+    if not all(isinstance(k, (int, np.integer, slice)) for k in np.index_exp[key]):
+        raise ShapeError(f"index takes ints and slices only, got {key!r}")
+    out_data = a.data[key].copy()
+
+    def backward(g: Array) -> None:
+        full = np.zeros(a.shape)
+        full[key] = g
+        _accum(a, full)
+
+    return _node(out_data, (a,), backward)
+
+
 def mean(a) -> Tensor:
     a = _wrap(a)
     n = a.data.size
@@ -286,6 +302,7 @@ REGISTERED_OPS: dict[str, Callable] = {
     "tanh": tanh,
     "relu": relu,
     "reshape": reshape,
+    "index": index,
     "mean": mean,
     "concat_last": concat_last,
     "masked_softmax": masked_softmax,

@@ -77,7 +77,10 @@ def load_params(path: str | os.PathLike) -> dict[str, np.ndarray]:
         (name_len,) = take("<H")
         if off + name_len > len(raw):
             raise DataError(f"{path} is truncated")
-        name = raw[off : off + name_len].decode("utf-8")
+        try:
+            name = raw[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: a parameter name at byte {off} is not UTF-8") from exc
         off += name_len
         (ndim,) = take("<B")
         shape = tuple(take(f"<{ndim}I")) if ndim else ()

@@ -60,9 +60,9 @@ _OPTIONAL_COLUMNS = ("alt_transcript",)
 
 def load_manifest(path) -> list[UtteranceRecord]:
     """Read a TSV manifest with header id/audio/transcript/label/speaker
-    and an optional alt_transcript column."""
+    and an optional alt_transcript column; a leading UTF-8 BOM is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
@@ -127,9 +127,9 @@ def write_manifest(path, records: list[UtteranceRecord]) -> None:
 
 def load_embedding_table(path) -> EmbeddingTable:
     """Parse the word-vector text format: header "count dim", then
-    one "token v1 ... v_dim" line per entry."""
+    one "token v1 ... v_dim" line per entry; a leading UTF-8 BOM is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read embedding table {path}: {exc}") from exc

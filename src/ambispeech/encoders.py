@@ -1,10 +1,11 @@
 """Bidirectional recurrent encoder (BRE) and attention pooling.
 
-The per-direction LSTM runs as a single fused graph node with a
-hand-written backward pass (BPTT); composing it from elementary ops costs
-roughly 20 graph nodes per timestep, which dominates runtime at this
-scale. Additive attention is one fused node too, in place of a chain of
-13 elementary ops per call. Masked steps never enter the recurrence: the
+Each BRE runs both LSTM directions as one fused graph node with a
+hand-written backward pass (BPTT); composing an LSTM from elementary ops
+costs roughly 20 graph nodes per timestep, which dominates runtime at
+this scale. The outputs H and final are two ad.index reads of that node.
+Additive attention is one fused node too, in place of a chain of 13
+elementary ops per call. Masked steps never enter the recurrence: the
 hidden and cell states carry over unchanged, and output rows at masked
 positions are exactly zero.
 """
@@ -12,6 +13,7 @@ positions are exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,12 +87,14 @@ def init_attention(rng: np.random.Generator, d_c: int, state_dim: int,
 # ------------------------------------------------------- fused LSTM direction
 
 
-def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> Tensor:
-    """One direction over a (B, T, D) batch; returns a packed (B, T+1, h) tensor.
+def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool,
+                    out: Array) -> Callable[[Array], None]:
+    """One direction over a (B, T, D) batch, written into out, a (B, T+1, h) view.
 
-    Rows 0..T-1 hold the masked output states (zero where mask is 0); row T
-    holds the final carried state. Masked steps freeze h and c bitwise, so
-    a column with no valid row is a no-op in forward and BPTT alike and is
+    Rows 0..T-1 get the masked output states (zero where mask is 0); row T
+    gets the final carried state. Returns the BPTT closure, which takes the
+    (B, T+1, h) gradient of out. Masked steps freeze h and c bitwise, so a
+    column with no valid row is a no-op in forward and BPTT alike and is
     never run.
     """
     B, T, _ = x.shape
@@ -104,7 +108,6 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> T
     needs_grad = d.Wx.requires_grad or d.Wh.requires_grad or d.b.requires_grad
     h = np.zeros((B, h_size))
     c = np.zeros((B, h_size))
-    packed = np.zeros((B, T + 1, h_size))
     stash: list[tuple] = []
     for t in order:
         mb = mask[:, t : t + 1] != 0.0
@@ -117,10 +120,10 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> T
         h_cand = o * tc
         if needs_grad:
             stash.append((t, i, f, g, o, tc, c, h))
-        packed[:, t] = np.where(mb, h_cand, 0.0)
+        out[:, t] = np.where(mb, h_cand, 0.0)
         h = np.where(mb, h_cand, h)
         c = np.where(mb, c_cand, c)
-    packed[:, T] = h
+    out[:, T] = h
 
     def backward(grad: Array) -> None:
         dh = grad[:, T].copy()
@@ -150,22 +153,7 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool) -> T
         ad._accum(d.Wh, dWh)
         ad._accum(d.b, db)
 
-    return ad._node(packed, (d.Wx, d.Wh, d.b), backward)
-
-
-def slice_time(a, start: int, stop: int) -> Tensor:
-    """Slice a (B, T, H) tensor along its middle axis."""
-    a = ad._wrap(a)
-    if a.ndim != 3:
-        raise ShapeError(f"slice_time expects a 3-D tensor, got shape {a.shape}")
-    out_data = a.data[:, start:stop].copy()
-
-    def backward(g: Array) -> None:
-        full = np.zeros(a.shape)
-        full[:, start:stop] = g
-        ad._accum(a, full)
-
-    return ad._node(out_data, (a,), backward)
+    return backward
 
 
 def bre_forward(x, p: BREParams, mask) -> tuple[Tensor, Tensor]:
@@ -173,6 +161,8 @@ def bre_forward(x, p: BREParams, mask) -> tuple[Tensor, Tensor]:
 
     Returns (H, final): H is (B, T, 2h) with zero rows at masked positions;
     final is (B, 2h) = [last forward state ; earliest-valid backward state].
+    Both read one fused node: a packed (B, T+1, 2h) buffer, one half per
+    direction, whose row T holds the final states.
     """
     data = np.asarray(x, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)
@@ -183,14 +173,18 @@ def bre_forward(x, p: BREParams, mask) -> tuple[Tensor, Tensor]:
     if np.any(m.sum(axis=1) == 0.0):
         raise EmptyInputError("an input row has zero valid steps")
     B, T = m.shape
-    packed_f = _lstm_direction(data, m, p.fwd, reverse=False)
-    packed_b = _lstm_direction(data, m, p.bwd, reverse=True)
-    H = ad.concat_last([slice_time(packed_f, 0, T), slice_time(packed_b, 0, T)])
-    final = ad.concat_last([
-        ad.reshape(slice_time(packed_f, T, T + 1), (B, p.hidden)),
-        ad.reshape(slice_time(packed_b, T, T + 1), (B, p.hidden)),
-    ])
-    return H, final
+    h = p.hidden
+    packed = np.zeros((B, T + 1, 2 * h))
+    bptt_f = _lstm_direction(data, m, p.fwd, False, packed[..., :h])
+    bptt_b = _lstm_direction(data, m, p.bwd, True, packed[..., h:])
+
+    def backward(g: Array) -> None:
+        bptt_f(g[..., :h])
+        bptt_b(g[..., h:])
+
+    node = ad._node(packed, (p.fwd.Wx, p.fwd.Wh, p.fwd.b, p.bwd.Wx, p.bwd.Wh, p.bwd.b),
+                    backward)
+    return ad.index(node, np.s_[:, :T]), ad.index(node, np.s_[:, T])
 
 
 # ------------------------------------------------------------------ attention

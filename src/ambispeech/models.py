@@ -203,11 +203,6 @@ class IntentClassifier:
             p.data = new.copy()
             p.grad = None
 
-    def zero_like(self) -> None:
-        """Set every parameter to zero (contract tests use this)."""
-        for p in self.parameters():
-            p.data = np.zeros_like(p.data)
-
 
 def _as_batch(x, mask) -> tuple[Array, Array, bool]:
     """(data, mask, single): a single utterance becomes a batch of 1."""

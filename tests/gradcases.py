@@ -16,6 +16,7 @@ def op_check_cases(rng):
         "tanh": (lambda a: ad.mean(ad.tanh(a)), [t(3, 4)]),
         "relu": (lambda a: ad.mean(ad.relu(a)), [t(3, 4)]),
         "reshape": (lambda a: ad.mean(ad.mul(ad.reshape(a, (4, 3)), ad.reshape(a, (4, 3)))), [t(3, 4)]),
+        "index": (lambda a: ad.mean(ad.tanh(ad.index(a, np.s_[1, :, 1:3]))), [t(2, 3, 4)]),
         "mean": (lambda a: ad.mean(ad.tanh(a)), [t(3, 4)]),
         "concat_last": (lambda a, b: ad.mean(ad.tanh(ad.concat_last([a, b]))), [t(3, 4), t(3, 2)]),
         "masked_softmax": (

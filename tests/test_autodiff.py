@@ -7,7 +7,6 @@ from gradcases import op_check_cases
 
 from ambispeech import autodiff as ad
 from ambispeech.autodiff import Tensor
-from ambispeech.encoders import slice_time
 from ambispeech.errors import DegenerateMaskError, ShapeError
 
 
@@ -67,7 +66,6 @@ def test_constant_inputs_record_no_parents():
         for t in inputs:
             t.requires_grad = False
         assert _untaped(fn(*inputs)), name
-    assert _untaped(slice_time(Tensor(np.ones((2, 3, 4))), 1, 2))
 
 
 @pytest.mark.parametrize("name", ["matmul", "add", "mul", "concat_last"])
@@ -80,6 +78,17 @@ def test_constant_operand_gets_no_grad(name):
     ad.mean(out).backward()
     assert x.grad is not None
     assert const.grad is None
+
+
+def test_index_copies_and_rejects_array_keys():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    out = ad.index(x, np.s_[:, 2])
+    assert np.array_equal(out.data, x.data[:, 2])
+    out.data[0, 0] = -1.0
+    assert x.data[0, 2, 0] == 8.0
+    for key in (np.array([0, 0]), [0, 1], np.s_[:, [2, 2]]):
+        with pytest.raises(ShapeError):
+            ad.index(x, key)
 
 
 def test_deep_chain_does_not_recurse():

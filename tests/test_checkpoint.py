@@ -67,6 +67,16 @@ def test_trailing_bytes_rejected(tmp_path, params):
         load_params(path)
 
 
+def test_non_utf8_name_is_data_error(tmp_path, params):
+    path = tmp_path / "m.ambi"
+    save_params(path, params)
+    raw = bytearray(path.read_bytes())
+    raw[len(MAGIC) + 4 + 2] = 0xFF  # first byte of the first name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_params(path)
+
+
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_params(tmp_path / "absent.ambi")

@@ -104,6 +104,14 @@ def test_featurize_reports_unreadable_wavs(corpus, capsys, tmp_path):
     assert "FAILED syn0000a" in captured.err
 
 
+def test_featurize_accepts_a_bom_prefixed_manifest(corpus, capsys, tmp_path):
+    bom = corpus / "corpus" / "bom_manifest.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(manifest(corpus)).read_bytes())
+    assert cli.main(["featurize", "--manifest", str(bom),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+    assert "featurized 12/12 records" in capsys.readouterr().out
+
+
 def test_featurize_requires_cache_dir_and_manifest(corpus):
     assert cli.main(["featurize", "--manifest", manifest(corpus)]) == 2
     assert cli.main(["featurize", "--cache-dir", str(corpus / "c")]) == 2
@@ -374,6 +382,19 @@ def test_non_utf8_text_file_is_one_error(corpus, trained, tmp_path, capsys, whic
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_predict_on_a_corrupt_checkpoint_name_is_one_error(corpus, trained, tmp_path, capsys):
+    ckpt = tmp_path / "m.ambi"
+    raw = bytearray((trained / "selected.ambi").read_bytes())
+    raw[len(b"AMBI1") + 4 + 2] = 0xFF  # first byte of the first parameter name
+    ckpt.write_bytes(bytes(raw))
+    (tmp_path / "m.ambi.json").write_bytes((trained / "selected.ambi.json").read_bytes())
+    wav = str(corpus / "corpus" / "wav" / "syn0000a.wav")
+    assert cli.main(["predict", "--checkpoint", str(ckpt), "--wav", wav,
+                     "--transcript", "가나"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not UTF-8" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

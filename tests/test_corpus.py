@@ -62,6 +62,18 @@ def test_manifest_omits_alt_column_when_unused(tmp_path):
     assert cp.load_manifest(path)[0].alt_transcript is None
 
 
+def test_bom_prefixed_files_load_the_same(tmp_path):
+    path = tmp_path / "m.tsv"
+    records = records_for_tests()
+    cp.write_manifest(path, records)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert cp.load_manifest(path) == records
+    table = tmp_path / "e.txt"
+    table.write_bytes("\ufeff1 2\n가 0.5 -1\n".encode("utf-8"))
+    loaded = cp.load_embedding_table(table)
+    np.testing.assert_array_equal(loaded.vectors["가"], [0.5, -1.0])
+
+
 def test_manifest_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "m.tsv"
     head = "id\taudio\ttranscript\tlabel\tspeaker"

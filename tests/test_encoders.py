@@ -123,9 +123,9 @@ def test_lstm_runs_only_columns_with_a_valid_row(reverse, monkeypatch):
     def run(inp, m, weight):
         for p in weights:
             p.grad = None
-        packed = en._lstm_direction(inp, m, d, reverse)
-        ad.matmul(ad.reshape(packed, (1, weight.size)), weight.reshape(-1, 1)).backward()
-        return packed.data, [p.grad.copy() for p in weights]
+        packed = np.zeros((2, inp.shape[1] + 1, 2))
+        en._lstm_direction(inp, m, d, reverse, packed)(weight)
+        return packed, [p.grad.copy() for p in weights]
 
     trimmed, trimmed_grads = run(x[:, cols], mask[:, cols], w[:, keep])
     calls = []
@@ -322,6 +322,27 @@ def test_attend_is_one_node(shared, monkeypatch):
     assert len(taped) == 1 and taped[0] is pooled
     assert pooled._parents == (H, ap.W, ap.b, ctx)
     assert not w.requires_grad and w._parents == ()
+
+
+def test_bre_is_one_node(monkeypatch):
+    rng = np.random.default_rng(25)
+    p = rand_bre(rng, 3, 2)
+    mask = (np.arange(5) >= np.array([[0], [3]])).astype(float)
+    taped = []
+    real_node = ad._node
+
+    def spy(data, parents, backward):
+        out = real_node(data, parents, backward)
+        if out.requires_grad:
+            taped.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_node", spy)
+    H, final = en.bre_forward(rng.normal(size=(2, 5, 3)), p, mask)
+    assert len(taped) == 3 and taped[1:] == [H, final]
+    fused = taped[0]
+    assert fused._parents == (p.fwd.Wx, p.fwd.Wh, p.fwd.b, p.bwd.Wx, p.bwd.Wh, p.bwd.b)
+    assert H._parents == (fused,) and final._parents == (fused,)
 
 
 @pytest.mark.parametrize("shared", [True, False])

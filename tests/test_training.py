@@ -452,6 +452,35 @@ def variant_and_examples(tag, text_mode, rng):
     return model, examples
 
 
+NODES_PER_STEP = {"audio_bre": 10, "audio_bre_att": 11, "para_bre_att": 16, "mha_a": 16,
+                  "mha_at": 17, "ca": 17}
+
+
+@pytest.mark.parametrize("tag, text_mode", VARIANTS)
+def test_taped_nodes_per_training_step(tag, text_mode, monkeypatch):
+    # each BRE is three nodes (the fused LSTM pair and its two index reads),
+    # each attention call one, the loss one
+    model, examples = variant_and_examples(tag, text_mode, np.random.default_rng(26))
+    taped = []
+    real_node = ad._node
+
+    def spy(data, parents, backward):
+        out = real_node(data, parents, backward)
+        taped.append(out.requires_grad)
+        return out
+
+    per_step = []
+
+    def hook(epoch, b, ids, loss):
+        per_step.append(sum(taped))
+        taped.clear()
+
+    monkeypatch.setattr(ad, "_node", spy)
+    cfg = tr.TrainConfig(max_epochs=2, batch_size=4, seed=0)
+    tr.train(model, examples, examples, cfg, batch_hook=hook)
+    assert per_step == [NODES_PER_STEP[tag]] * 6
+
+
 @pytest.mark.parametrize("tag, text_mode", VARIANTS)
 def test_predict_batch_matches_taped_forward_and_records_no_tape(tag, text_mode, monkeypatch):
     model, examples = variant_and_examples(tag, text_mode, np.random.default_rng(21))
