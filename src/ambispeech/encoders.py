@@ -95,12 +95,13 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool,
     gets the final carried state. Returns the BPTT closure, which takes the
     (B, T+1, h) gradient of out. Masked steps freeze h and c bitwise, so a
     column with no valid row is a no-op in forward and BPTT alike and is
-    never run.
+    never run; a column with no masked row takes the new states unmasked.
     """
     B, T, _ = x.shape
     Wx, Wh, b = d.Wx.data, d.Wh.data, d.b.data
     h_size = Wh.shape[0]
     order = np.flatnonzero(mask.any(axis=0)).tolist()  # ints: t indexes five arrays per step
+    full = mask.all(axis=0).tolist()
     if reverse:
         order.reverse()
 
@@ -110,7 +111,6 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool,
     c = np.zeros((B, h_size))
     stash: list[tuple] = []
     for t in order:
-        mb = mask[:, t : t + 1] != 0.0
         pre = x[:, t] @ Wx + h @ Wh + b
         sig = 1.0 / (1.0 + np.exp(-pre))  # one call for all 4h columns; g's share goes unused
         i, f, o = sig[:, :h_size], sig[:, h_size : 2 * h_size], sig[:, 3 * h_size :]
@@ -120,9 +120,14 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool,
         h_cand = o * tc
         if needs_grad:
             stash.append((t, i, f, g, o, tc, c, h))
-        out[:, t] = np.where(mb, h_cand, 0.0)
-        h = np.where(mb, h_cand, h)
-        c = np.where(mb, c_cand, c)
+        if full[t]:  # every row valid: the masks below would pick h_cand and c_cand
+            out[:, t] = h = h_cand
+            c = c_cand
+        else:
+            mb = mask[:, t : t + 1] != 0.0
+            out[:, t] = np.where(mb, h_cand, 0.0)
+            h = np.where(mb, h_cand, h)
+            c = np.where(mb, c_cand, c)
     out[:, T] = h
 
     def backward(grad: Array) -> None:

@@ -154,15 +154,15 @@ def end_align(rows: Array, t_max: int | None = None) -> FeatureSequence:
 
 def _frames(signal: AudioSignal, frame_length: int, hop: int) -> Array:
     """(ceil(len/hop), frame_length) frames; frame t starts at sample t*hop,
-    and the tail is zero-padded to a whole frame."""
+    and the tail is zero-padded to a whole frame. A read-only strided view,
+    not a copy."""
     x = signal.samples
     if x.shape[0] == 0:
         raise EmptyInputError("cannot frame an empty signal")
     n_frames = -(-x.shape[0] // hop)  # ceil
     padded = np.zeros((n_frames - 1) * hop + frame_length)
     padded[: x.shape[0]] = x
-    idx = np.arange(frame_length)[None, :] + hop * np.arange(n_frames)[:, None]
-    return padded[idx]
+    return np.lib.stride_tricks.sliding_window_view(padded, frame_length)[::hop]
 
 
 def rmse_frames(signal: AudioSignal, frame_length: int, hop: int) -> Array:
@@ -218,11 +218,17 @@ def mel_center_frequencies(sample_rate: int, n_fft: int, n_mels: int) -> Array:
     return _mel_edges_hz(sample_rate, n_mels)[1:-1]
 
 
+@functools.lru_cache(maxsize=8)
+def _hann(n_fft: int) -> Array:
+    """The periodic Hann window of one frame length, built once and read-only."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    window.flags.writeable = False
+    return window
+
+
 def stft_power(signal: AudioSignal, n_fft: int, hop: int) -> Array:
     """Magnitude-squared Hann-windowed STFT; frame t starts at t*hop."""
-    frames = _frames(signal, n_fft, hop)
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
-    spectrum = np.fft.rfft(frames * window, axis=1)
+    spectrum = np.fft.rfft(_frames(signal, n_fft, hop) * _hann(n_fft), axis=1)
     return np.abs(spectrum) ** 2
 
 

@@ -75,8 +75,13 @@ class IntentClassifier:
     forward() accepts batched (B, T, D) arrays with (B, T) masks, or one
     utterance as a FeatureSequence or a (T, D) array with its (T,) mask. It
     is the one place that turns a single utterance into a batch of 1 and
-    back, so output rank follows input rank. aux carries the raw logits and
-    every attention-weight matrix the variant produces.
+    back, so output rank follows input rank. It cuts each modality to its
+    used columns, from the first that any row uses, so the encoders and
+    attention never run over a column that only padding fills; a single
+    utterance padded to t_max thus runs as predict_batch([it]) does and
+    matches a one-record eval bit for bit. aux carries the raw logits and
+    every attention-weight matrix the variant produces, each at its
+    input's full width with exact zeros in the cut columns.
     """
 
     def __init__(self, variant: ModelVariant, audio_dim: int, text_dim: int | None = None,
@@ -125,6 +130,8 @@ class IntentClassifier:
             t, tm, _ = _as_batch(text, text_mask)
             if t.shape[0] != a.shape[0]:
                 raise ShapeError(f"audio batch {a.shape[0]} != text batch {t.shape[0]}")
+            t, tm, cut_t = _used_columns(t, tm)
+        a, am, cut_a = _used_columns(a, am)
         aux: dict[str, Array] = {}
         tag = self.variant.tag
 
@@ -159,6 +166,9 @@ class IntentClassifier:
                 aux["audio_cross"] = w_ap.data
                 x = ad.concat_last([r_ap, r_tp])
 
+        for key, w in aux.items():  # each map back at its input's width, zeros in front
+            cut = cut_t if key.startswith("text") else cut_a
+            aux[key] = np.concatenate([np.zeros((w.shape[0], cut)), w], axis=1)
         probs, logits = self._head(x)
         aux["logits"] = logits.data
         if single:
@@ -215,6 +225,20 @@ def _as_batch(x, mask) -> tuple[Array, Array, bool]:
     if data.ndim == 2:
         return data[None], m.reshape(1, -1), True
     return data, m, False
+
+
+def _used_columns(data: Array, mask: Array) -> tuple[Array, Array, int]:
+    """(data, mask, cut): the batch from the first column that any row uses.
+
+    The cut columns hold only padding, which no output depends on, so no
+    encoder or attention runs over them. Shapes that disagree, or a mask
+    that uses no column, pass uncut, and bre_forward rejects them.
+    """
+    used = mask.any(axis=0) if data.ndim == 3 and mask.shape == data.shape[:2] else None
+    if used is None or not used.any():
+        return data, mask, 0
+    cut = int(used.argmax())
+    return data[:, cut:], mask[:, cut:], cut
 
 
 # ----------------------------------------------------------- serialization

@@ -230,12 +230,15 @@ def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Arr
     The records run in ceil(N / EVAL_BUCKET) buckets of near-equal size,
     cut from a stable sort by audio valid length. Each bucket is stacked
     on its own, each modality from the first column that the bucket's
-    longest record uses, so the LSTM, attention and input copies cover no
-    column that only padding fills. That changes no bit: masked steps
-    freeze the LSTM state, and masked_softmax sums left to right, so
-    leading padding adds nothing. No bucket holds one record unless N == 1
-    (a batch of one takes BLAS's matrix-vector path, whose last bits
-    differ). Probabilities come back in input order.
+    longest record uses, so the input copies cover no column that only
+    padding fills. IntentClassifier.forward makes the same cut for the
+    LSTM, attention and head, on any batch, so a single utterance's
+    forward matches predict_batch([it]) bit for bit. The cut changes no
+    bit for a bucket: masked steps freeze the LSTM state, and
+    masked_softmax sums left to right, so leading padding adds nothing.
+    No bucket holds one record unless N == 1 (a batch of one takes BLAS's
+    matrix-vector path, whose last bits differ). Probabilities come back
+    in input order.
     """
     order = np.argsort([e.audio.valid_len for e in examples], kind="stable")
     probs = np.empty((len(examples), N_CLASSES))

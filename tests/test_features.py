@@ -48,6 +48,28 @@ def test_frame_count_is_ceil_len_over_hop():
         assert ft.rmse_frames(sig, 1024, 256).shape[0] == -(-n // 256)
 
 
+def test_frames_are_a_read_only_view_equal_to_the_gather():
+    n_fft, hop = 1024, 256
+    rng = np.random.default_rng(31)
+    for n in (1, hop - 1, hop, n_fft, n_fft + 1, int(rng.integers(2, 20000))):
+        x = rng.normal(size=n)
+        frames = ft._frames(ft.AudioSignal(x, 16000), n_fft, hop)
+        n_frames = -(-n // hop)
+        padded = np.zeros((n_frames - 1) * hop + n_fft)
+        padded[:n] = x
+        gather = padded[np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]]
+        np.testing.assert_array_equal(frames, gather)
+        assert frames.shape == (n_frames, n_fft)
+        assert not frames.flags.writeable
+
+
+def test_hann_window_is_built_once_and_read_only():
+    window = ft._hann(1024)
+    assert ft._hann(1024) is window
+    assert not window.flags.writeable
+    np.testing.assert_array_equal(window, 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(1024) / 1024))
+
+
 def test_rmse_scales_linearly():
     rng = np.random.default_rng(5)
     x = rng.normal(size=3000)

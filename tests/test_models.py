@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from ambispeech import autodiff as ad
 from ambispeech import models as md
-from ambispeech.errors import ConfigError, DataError, ModalityError, ShapeError
+from ambispeech.errors import ConfigError, DataError, EmptyInputError, ModalityError, ShapeError
 from ambispeech.features import FeatureConfig, end_align
 
 
@@ -127,6 +129,63 @@ def test_batched_forward_matches_single():
     for k in range(2):
         ps, _ = m.forward(audios[k], text=texts[k])
         np.testing.assert_allclose(pb.data[k], ps.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("tag", md.VARIANT_TAGS)
+def test_forward_cuts_padding_columns_and_widens_aux(tag, monkeypatch):
+    uses_text = tag not in md.AUDIO_ONLY_TAGS
+    rng = np.random.default_rng(12)
+    rows_a, rows_t = rng.normal(size=(4, 9)), rng.normal(size=(3, 8))
+    m = build(tag, seed=4)
+    exact, exact_aux = m.forward(end_align(rows_a, 4),
+                                 text=end_align(rows_t, 3) if uses_text else None)
+
+    seen = []  # (function, input width, mask width, mask all ones) per call
+    real_bre, real_attend = md.bre_forward, md.attend
+
+    def note(name, x, mask):
+        seen.append((name, x.shape[1], mask.shape[1], bool(np.all(mask == 1.0))))
+
+    def bre_spy(x, p, mask):
+        note("bre_forward", x, mask)
+        return real_bre(x, p, mask)
+
+    def attend_spy(H, mask, ap, context):
+        note("attend", H, mask)
+        return real_attend(H, mask, ap, context)
+
+    monkeypatch.setattr(md, "bre_forward", bre_spy)
+    monkeypatch.setattr(md, "attend", attend_spy)
+    probs, aux = m.forward(end_align(rows_a, 12), text=end_align(rows_t, 8) if uses_text else None)
+    assert sum(name == "bre_forward" for name, *_ in seen) == 1 + uses_text
+    assert all(width == mask_width in (4, 3) and full for _, width, mask_width, full in seen)
+    assert np.array_equal(probs.data, exact.data)
+    assert aux.keys() == exact_aux.keys()
+    for key, weights in aux.items():
+        if key != "logits":
+            t_max, valid = (8, 3) if key.startswith("text") else (12, 4)
+            assert weights.shape == (t_max,), key
+            assert np.all(weights[: t_max - valid] == 0.0), key
+            assert np.array_equal(weights[t_max - valid :], exact_aux[key]), key
+
+
+def test_forward_keeps_its_shape_and_empty_row_errors():
+    m = build("ca")
+    audio, text = toy_inputs()  # audio 4 valid of 6, text 3 valid of 4
+    for mask, shape in ((audio.mask[1:], "(1, 5)"), (np.ones(7), "(1, 7)")):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"expected (B, T, D) data with (B, T) mask, got (1, 6, 9), {shape}")):
+            m.forward(audio.data, audio_mask=mask, text=text.data, text_mask=text.mask)
+    with pytest.raises(ShapeError, match=re.escape(
+            "expected (B, T, D) data with (B, T) mask, got (1, 4, 8), (1, 3)")):
+        m.forward(audio, text=text.data, text_mask=text.mask[1:])
+    batch = np.stack([audio.data, audio.data])
+    for mask in (np.stack([audio.mask, np.zeros(6)]), np.zeros((2, 6))):
+        with pytest.raises(EmptyInputError, match="^an input row has zero valid steps$"):
+            m.forward(batch, audio_mask=mask, text=np.stack([text.data] * 2),
+                      text_mask=np.stack([text.mask] * 2))
+    with pytest.raises(EmptyInputError, match="^an input row has zero valid steps$"):
+        m.forward(audio, text=text.data, text_mask=np.zeros(4))
 
 
 def test_aux_keys_per_variant():

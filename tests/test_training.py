@@ -577,6 +577,28 @@ def test_predict_batch_stacks_each_bucket_to_its_longest_record(tag, text_mode, 
     assert min(bucket[0][0] for bucket in widths) < 40  # the short buckets are cut
 
 
+@pytest.mark.parametrize("tag, text_mode", VARIANTS)
+def test_single_utterance_forward_matches_a_one_record_predict_batch(tag, text_mode):
+    # forward cuts a padded utterance to its valid columns, as predict_batch
+    # stacks it, so the two run the same arithmetic; with weights perturbed
+    # off their init, an uncut forward's attention GEMMs differ in last bits
+    rng = np.random.default_rng(47)
+    text = text_mode != "none"
+    examples = [Example(id=f"u{i}", audio=end_align(rng.normal(size=(int(v), 33)), 60),
+                        text=end_align(rng.normal(size=(int(rng.integers(1, 7)), 20)), 10)
+                        if text else None,
+                        label=0, speaker="alba", transcript=f"s{i}")
+                for i, v in enumerate(rng.integers(2, 41, 24))]
+    model = IntentClassifier(ModelVariant(tag, text_mode), audio_dim=33,
+                             text_dim=20 if text else None, hidden=64, head_hidden=32, seed=4)
+    model.load_state({name: w + 0.3 * rng.normal(size=w.shape)
+                      for name, w in model.state().items()})
+    for e in examples:
+        with tr._no_tape(model):
+            single, _ = model.forward(e.audio, text=e.text)
+        assert np.array_equal(single.data, tr.predict_batch(model, [e])[0][0]), e.id
+
+
 def test_predict_batch_restores_flags_when_forward_raises():
     model, examples = variant_and_examples("mha_a", "sparse", np.random.default_rng(22))
     audio_only = [replace(e, text=None) for e in examples]
