@@ -127,6 +127,8 @@ def cmd_train(args) -> int:
     tcfg, paths = cfg["train"], cfg["paths"]
     if paths.manifest is None:
         raise ConfigError("train needs a manifest (flag or config)")
+    if paths.out_dir is None:
+        raise ConfigError("train needs an output dir (flag or config)")
     records = cp.load_manifest(paths.manifest)
     base_dir = os.path.dirname(os.path.abspath(paths.manifest))
     table = None
@@ -140,8 +142,6 @@ def cmd_train(args) -> int:
     model = md.IntentClassifier(variant, resolved.audio_dim, text_dim, seed=tcfg.seed,
                                 **cfg["model"])
     out_dir = paths.out_dir
-    if out_dir is None:
-        raise ConfigError("train needs an output dir (flag or config)")
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
 

@@ -199,33 +199,32 @@ def featurize_corpus(records: list[UtteranceRecord], cfg: FeatureConfig, text_mo
         raise ConfigError("dense text mode needs an embedding table")
     if not records:
         raise EmptyInputError("no records to featurize")
+    texts = [r.alt_transcript if use_alt_transcript else r.transcript for r in records]
+    if text_mode != "none":  # every text is checked before any audio is read
+        for r, text in zip(records, texts):
+            if text is None:
+                raise ConfigError(f"record {r.id} has no alt_transcript")
+            if not text.strip():
+                raise EmptyInputError(f"record {r.id}: alt_transcript is empty after trimming")
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
 
     frame_mats = [ft.frame_matrix(os.path.join(base_dir or "", r.audio), cfg, cache_dir)[0]
                   for r in records]
-
-    def text_of(r: UtteranceRecord) -> str:
-        if not use_alt_transcript:
-            return r.transcript
-        if r.alt_transcript is None:
-            raise ConfigError(f"record {r.id} has no alt_transcript")
-        return r.alt_transcript
-
     resolved = ft.resolve_t_max(
         cfg,
         audio_t=max(m.shape[0] for m in frame_mats),
-        text_t=max(len(text_of(r).strip()) for r in records) if text_mode != "none" else None,
+        text_t=max(len(t.strip()) for t in texts) if text_mode != "none" else None,
     )
 
     examples = []
-    for r, mat in zip(records, frame_mats):
+    for r, text, mat in zip(records, texts, frame_mats):
         audio_fs = ft.end_align(mat, resolved.audio_t_max)
         if text_mode == "none":
             text_fs = None
         elif text_mode == "sparse":
-            text_fs = ft.encode_sparse(text_of(r), resolved.text_t_max)
+            text_fs = ft.encode_sparse(text, resolved.text_t_max)
         else:
-            text_fs = ft.encode_dense(text_of(r), table, resolved.text_t_max)
+            text_fs = ft.encode_dense(text, table, resolved.text_t_max)
         examples.append(Example(r.id, audio_fs, text_fs, int(r.label), r.speaker, r.transcript))
     return examples, resolved

@@ -94,23 +94,21 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool,
     Rows 0..T-1 get the masked output states (zero where mask is 0); row T
     gets the final carried state. Returns the BPTT closure, which takes the
     (B, T+1, h) gradient of out. Masked steps freeze h and c bitwise, so a
-    column with no valid row is a no-op in forward and BPTT alike and is
-    never run; a column with no masked row takes the new states unmasked.
+    column with no valid row is a no-op with zero output and gradient.
+    Full-column rule: on a column with no masked row, the forward takes the
+    new states unmasked and BPTT skips the mask products and the carries.
     """
     B, T, _ = x.shape
     Wx, Wh, b = d.Wx.data, d.Wh.data, d.b.data
     h_size = Wh.shape[0]
-    order = np.flatnonzero(mask.any(axis=0)).tolist()  # ints: t indexes five arrays per step
     full = mask.all(axis=0).tolist()
-    if reverse:
-        order.reverse()
 
     # keep the BPTT stash only when some weight will take a gradient
     needs_grad = d.Wx.requires_grad or d.Wh.requires_grad or d.b.requires_grad
     h = np.zeros((B, h_size))
     c = np.zeros((B, h_size))
     stash: list[tuple] = []
-    for t in order:
+    for t in range(T - 1, -1, -1) if reverse else range(T):
         pre = x[:, t] @ Wx + h @ Wh + b
         sig = 1.0 / (1.0 + np.exp(-pre))  # one call for all 4h columns; g's share goes unused
         i, f, o = sig[:, :h_size], sig[:, h_size : 2 * h_size], sig[:, 3 * h_size :]
@@ -137,11 +135,11 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool,
         dWh = np.zeros_like(Wh)
         db = np.zeros_like(b)
         for t, i, f, g, o, tc, c_prev, h_prev in reversed(stash):
-            m = mask[:, t : t + 1]
-            dh_cand = m * (dh + grad[:, t])
-            dc_cand = m * dc
-            dh_carry = (1.0 - m) * dh
-            dc_carry = (1.0 - m) * dc
+            dh_cand, dc_cand = dh + grad[:, t], dc
+            if not full[t]:  # a partial column masks the candidates and carries the rest
+                m = mask[:, t : t + 1]
+                dh_cand, dc_cand = m * dh_cand, m * dc_cand
+                dh_carry, dc_carry = (1.0 - m) * dh, (1.0 - m) * dc
             do = dh_cand * tc
             dc_cand = dc_cand + dh_cand * o * (1.0 - tc * tc)
             dpre = np.empty((B, 4 * h_size))
@@ -152,8 +150,9 @@ def _lstm_direction(x: Array, mask: Array, d: LSTMDirection, reverse: bool,
             dWx += x[:, t].T @ dpre
             dWh += h_prev.T @ dpre
             db += dpre.sum(axis=0)
-            dh = dpre @ Wh.T + dh_carry
-            dc = dc_cand * f + dc_carry
+            dh, dc = dpre @ Wh.T, dc_cand * f
+            if not full[t]:
+                dh, dc = dh + dh_carry, dc + dc_carry
         ad._accum(d.Wx, dWx)
         ad._accum(d.Wh, dWh)
         ad._accum(d.b, db)

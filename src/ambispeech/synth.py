@@ -20,8 +20,7 @@ where the construction puts it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +64,6 @@ DEFAULT_TYPE_CYCLE = ("ynwh", "rqrc", "decl", "cmd")
 class SyntheticSpec:
     n_scripts: int = 20
     variants_per_script: int = 2
-    contours: Mapping[str, tuple[str, float]] = field(
-        default_factory=lambda: dict(DEFAULT_CONTOURS))
-    vocabulary: tuple[str, ...] = DEFAULT_SYLLABARY
     seed: int = 0
     script_types: tuple[str, ...] = DEFAULT_TYPE_CYCLE
 
@@ -76,16 +72,6 @@ class SyntheticSpec:
             raise ConfigError(f"n_scripts must be >= 1, got {self.n_scripts}")
         if not 2 <= self.variants_per_script <= 4:
             raise ConfigError(f"variants_per_script must be 2..4, got {self.variants_per_script}")
-        missing = [l.name for l in IntentLabel if l.name not in self.contours]
-        if missing:
-            raise ConfigError(f"contours missing labels {missing}")
-        for name, (pattern, register) in self.contours.items():
-            if len(pattern) != 5 or any(ch not in PITCH_HZ for ch in pattern):
-                raise ConfigError(f"contour {name}: pattern must be 5 chars of L/M/H, got {pattern!r}")
-            if register <= 0:
-                raise ConfigError(f"contour {name}: register must be positive")
-        if not self.vocabulary:
-            raise ConfigError("vocabulary is empty")
         unknown = [t for t in self.script_types if t not in SCRIPT_TYPES]
         if unknown:
             raise ConfigError(f"unknown script types {unknown}")
@@ -104,9 +90,9 @@ def _script_labels(spec: SyntheticSpec, stype: str, partner_state: dict[str, int
         raise ConfigError(f"script type {stype}: duplicate labels {labels}")
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
-            if spec.contours[a] == spec.contours[b]:
+            if DEFAULT_CONTOURS[a] == DEFAULT_CONTOURS[b]:
                 raise ConfigError(
-                    f"labels {a} and {b} share contour {spec.contours[a]} on one script")
+                    f"labels {a} and {b} share contour {DEFAULT_CONTOURS[a]} on one script")
     return labels
 
 
@@ -156,7 +142,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> tuple[str, list[Utteranc
         ender = SCRIPT_TYPES[stype][0]
         script_rng = np.random.default_rng([spec.seed, 7919, s_idx])
         n_pre = int(script_rng.integers(3, 6))
-        chars = [spec.vocabulary[int(script_rng.integers(0, len(spec.vocabulary)))]
+        chars = [DEFAULT_SYLLABARY[int(script_rng.integers(0, len(DEFAULT_SYLLABARY)))]
                  for _ in range(n_pre)]
         space_at = int(script_rng.integers(1, 3))
         transcript = "".join(chars[:space_at]) + " " + "".join(chars[space_at:]) + ender
@@ -168,7 +154,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> tuple[str, list[Utteranc
         for v_idx, label in enumerate(labels):
             rid = f"syn{s_idx:04d}{'abcd'[v_idx]}"
             rec_rng = np.random.default_rng([spec.seed, 104729, s_idx, v_idx])
-            signal = render_utterance(transcript, spec.contours[label], speaker, rec_rng)
+            signal = render_utterance(transcript, DEFAULT_CONTOURS[label], speaker, rec_rng)
             rel = os.path.join("wav", f"{rid}.wav")
             write_wav(os.path.join(out_dir, rel), signal)
             records.append(UtteranceRecord(rid, rel, transcript, IntentLabel[label], speaker))

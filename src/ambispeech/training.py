@@ -190,25 +190,12 @@ def _stack(seqs: list) -> tuple[Array, Array]:
     return np.stack([s.data[first:] for s in seqs]), np.stack([s.mask[first:] for s in seqs])
 
 
-class _Arrays:
-    """Examples stacked into batch-ready arrays, each modality as wide as its longest record."""
-
-    def __init__(self, examples: list[Example]):
-        self.ids = [e.id for e in examples]
-        self.audio, self.audio_mask = _stack([e.audio for e in examples])
-        self.text = self.text_mask = None
-        if examples[0].text is not None:
-            self.text, self.text_mask = _stack([e.text for e in examples])
-        self.labels = np.array([e.label for e in examples], dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def forward(self, model: IntentClassifier, idx) -> tuple[Tensor, dict]:
-        if self.text is None:
-            return model.forward(self.audio[idx], self.audio_mask[idx])
-        return model.forward(self.audio[idx], self.audio_mask[idx],
-                             self.text[idx], self.text_mask[idx])
+def _forward(model: IntentClassifier, examples: list[Example]) -> tuple[Tensor, dict]:
+    """model.forward on the examples stacked as one batch: the one way a batch is built."""
+    audio = _stack([e.audio for e in examples])
+    if examples[0].text is None:
+        return model.forward(*audio)
+    return model.forward(*audio, *_stack([e.text for e in examples]))
 
 
 @contextmanager
@@ -228,13 +215,13 @@ def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Arr
     """(probs (N, 7), argmax predictions (N,)) without building gradients.
 
     The records run in ceil(N / EVAL_BUCKET) buckets of near-equal size,
-    cut from a stable sort by audio valid length. Each bucket is stacked
-    on its own, each modality from the first column that the bucket's
-    longest record uses, so the input copies cover no column that only
-    padding fills. IntentClassifier.forward makes the same cut for the
-    LSTM, attention and head, on any batch, so a single utterance's
-    forward matches predict_batch([it]) bit for bit. The cut changes no
-    bit for a bucket: masked steps freeze the LSTM state, and
+    cut from a stable sort by audio valid length. _forward, which builds
+    every training batch too, stacks each bucket on its own, each modality
+    from the first column that the bucket's longest record uses, so the
+    input copies cover no column that only padding fills.
+    IntentClassifier.forward makes the same cut for any batch, so a single
+    utterance's forward matches predict_batch([it]) bit for bit. The cut
+    changes no bit for a bucket: masked steps freeze the LSTM state, and
     masked_softmax sums left to right, so leading padding adds nothing.
     No bucket holds one record unless N == 1 (a batch of one takes BLAS's
     matrix-vector path, whose last bits differ). Probabilities come back
@@ -244,8 +231,7 @@ def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Arr
     probs = np.empty((len(examples), N_CLASSES))
     with _no_tape(model):
         for idx in np.array_split(order, -(-len(examples) // EVAL_BUCKET)):
-            bucket = _Arrays([examples[i] for i in idx])
-            probs[idx] = bucket.forward(model, slice(None))[0].data
+            probs[idx] = _forward(model, [examples[i] for i in idx])[0].data
     return probs, probs.argmax(axis=1)
 
 
@@ -319,24 +305,25 @@ def train(model: IntentClassifier, train_set: list[Example], eval_set: list[Exam
     A record holds a copy of the parameters only while its epoch is in the
     top TOP_K by (accuracy, epoch). select_checkpoint always picks from
     that set, and an epoch that leaves it never returns, so the pick holds
-    its state. batch_hook(epoch, batch_index, record_ids, loss) observes
-    every optimization step. A non-finite loss or gradient norm raises
+    its state. Each step's batch is stacked from its examples by _forward,
+    as predict_batch stacks a bucket, so no copy of the whole set is kept.
+    batch_hook(epoch, batch_index, record_ids, loss) observes every
+    optimization step. A non-finite loss or gradient norm raises
     NonFiniteError before the step. Deterministic for a fixed cfg.seed.
     """
     if not train_set or not eval_set:
         raise ConfigError("empty train or eval set")
-    arrs = _Arrays(train_set)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     records: list[EpochRecord] = []
     for epoch in range(1, cfg.max_epochs + 1):
         rng = np.random.default_rng([cfg.seed, 15485863, epoch])
-        order = rng.permutation(len(arrs))
+        order = rng.permutation(len(train_set))
         losses = []
         for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
-            idx = order[lo : lo + cfg.batch_size]
-            probs, _ = arrs.forward(model, idx)
-            loss = cross_entropy(probs, arrs.labels[idx])
+            batch = [train_set[i] for i in order[lo : lo + cfg.batch_size]]
+            probs, _ = _forward(model, batch)
+            loss = cross_entropy(probs, np.array([e.label for e in batch], dtype=np.int64))
             opt.zero_grad()
             loss.backward()
             value = loss.item()
@@ -347,7 +334,7 @@ def train(model: IntentClassifier, train_set: list[Example], eval_set: list[Exam
             opt.step()
             losses.append(value)
             if batch_hook is not None:
-                batch_hook(epoch, b, [arrs.ids[i] for i in idx], value)
+                batch_hook(epoch, b, [e.id for e in batch], value)
         report = evaluate(model, eval_set)
         state = {k: v.copy() for k, v in model.state().items()}
         records.append(EpochRecord(epoch, report.accuracy, report.macro_f1, state,

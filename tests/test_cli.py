@@ -276,6 +276,14 @@ def test_train_config_errors(corpus, tmp_path, capsys):
                             "--config", str(tmp_path / "ghost.json")]) == 1
 
 
+def test_train_without_out_fails_before_featurizing(corpus, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert cli.main(["train", "--manifest", manifest(corpus), "--cache-dir", str(cache),
+                     "--variant", "mha_a", "--text-mode", "sparse"]) == 2
+    assert capsys.readouterr().err == "error: train needs an output dir (flag or config)\n"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_readme_config_passes_the_config_checks(tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
@@ -318,6 +326,15 @@ def test_eval_alt_transcript_needs_alt_column(corpus, trained):
     assert cli.main(["eval", "--checkpoint", str(trained / "selected.ambi"),
                      "--manifest", manifest(corpus), "--cache-dir", str(corpus / "cache"),
                      "--use-alt-transcript"]) == 2
+
+
+def test_eval_alt_transcript_fails_before_featurizing(corpus, trained, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert cli.main(["eval", "--checkpoint", str(trained / "selected.ambi"),
+                     "--manifest", manifest(corpus), "--cache-dir", str(cache),
+                     "--use-alt-transcript"]) == 2
+    assert capsys.readouterr().err == "error: record syn0000a has no alt_transcript\n"
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 _MISSING = object()
@@ -489,6 +506,42 @@ def test_dense_checkpoint_needs_an_embedding_table(corpus, trained, tmp_path, ca
 
 
 # ------------------------------------------------------------- entry points
+
+
+# Every option string of each subcommand and every config key. A change that
+# adds or drops a knob edits these lists.
+OPTIONS = {
+    "synth": ["--n-scripts", "--out", "--seed", "--types", "--variants"],
+    "featurize": ["--cache-dir", "--config", "--manifest"],
+    "train": ["--batch-size", "--cache-dir", "--config", "--embedding", "--epochs", "--hidden",
+              "--lr", "--manifest", "--out", "--seed", "--text-mode", "--variant"],
+    "eval": ["--cache-dir", "--checkpoint", "--config", "--embedding", "--manifest", "--out",
+             "--use-alt-transcript"],
+    "predict": ["--checkpoint", "--embedding", "--transcript", "--wav"],
+}
+CONFIG_KEYS = {
+    "top-level": ["text_mode", "variant"],
+    "features": ["audio_t_max", "hop", "log_mel", "n_fft", "n_mels", "sample_rate",
+                 "text_t_max"],
+    "train": ["batch_size", "beta1", "beta2", "eps", "group_by_script", "learning_rate",
+              "max_epochs", "seed", "split_ratio"],
+    "model": ["head_hidden", "hidden"],
+    "paths": ["cache_dir", "embedding", "manifest", "out_dir"],
+}
+
+
+def test_the_cli_has_exactly_the_pinned_knobs():
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    options = {name: sorted(s for a in p._actions for s in a.option_strings
+                            if s not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert options == OPTIONS
+    assert sum(map(len, options.values())) == 31
+    keys = {"top-level": sorted(set(cli._TOP_KEYS) - set(cli._SECTIONS))}
+    for section, (_, fields) in cli._SECTIONS.items():
+        keys[section] = sorted(getattr(fields, "__dataclass_fields__", fields))
+    assert keys == CONFIG_KEYS
+    assert sum(map(len, keys.values())) == 24
 
 
 def test_console_script_help():

@@ -230,6 +230,21 @@ def test_featurize_alt_transcript_switch(monkeypatch):
     assert examples[0].text.valid_len == 5
 
 
+def test_featurize_checks_every_text_before_reading_audio(monkeypatch):
+    with_alt, without_alt = records_for_tests()[::-1]
+    blank = cp.UtteranceRecord("r3", "wav/r3.wav", "가다", cp.IntentLabel.C, "m",
+                               alt_transcript="  ")
+    read = []
+    monkeypatch.setattr(ft, "frame_matrix", lambda path, *_: read.append(path))
+    cfg = FeatureConfig(n_mels=3, n_fft=256, hop=128)
+    with pytest.raises(ConfigError, match="record r1 has no alt_transcript"):
+        cp.featurize_corpus([with_alt, without_alt], cfg, "sparse", use_alt_transcript=True)
+    with pytest.raises(EmptyInputError, match="record r3: alt_transcript is empty"):
+        cp.featurize_corpus([with_alt, blank], cfg, "dense", table=EmbeddingTable({}, 3),
+                            use_alt_transcript=True)
+    assert read == []
+
+
 def test_featurize_reads_wavs_relative_to_base_dir(tmp_path):
     os.makedirs(tmp_path / "wav")
     rng = np.random.default_rng(0)
@@ -308,27 +323,14 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         SyntheticSpec(variants_per_script=5)
     with pytest.raises(ConfigError):
-        SyntheticSpec(contours={"S": ("LMLML", 1.0)})
-    bad = dict(sy.DEFAULT_CONTOURS)
-    bad["YN"] = ("LMX", 1.0)
-    with pytest.raises(ConfigError, match="5 chars"):
-        SyntheticSpec(contours=bad)
-    bad = dict(sy.DEFAULT_CONTOURS)
-    bad["YN"] = ("LMLLH", -1.0)
-    with pytest.raises(ConfigError, match="register"):
-        SyntheticSpec(contours=bad)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(vocabulary=())
-    with pytest.raises(ConfigError):
         SyntheticSpec(script_types=("ynwh", "mystery"))
 
 
-def test_contour_collision_on_one_script_is_rejected(tmp_path):
+def test_contour_collision_on_one_script_is_rejected(tmp_path, monkeypatch):
     # the fifth decl script draws partner R; giving R the S contour makes
     # that script audio-ambiguous three ways, which the generator must refuse
-    contours = dict(sy.DEFAULT_CONTOURS)
-    contours["R"] = contours["S"]
-    spec = SyntheticSpec(n_scripts=5, contours=contours, script_types=("decl",), seed=7)
+    monkeypatch.setitem(sy.DEFAULT_CONTOURS, "R", sy.DEFAULT_CONTOURS["S"])
+    spec = SyntheticSpec(n_scripts=5, script_types=("decl",), seed=7)
     with pytest.raises(ConfigError, match="share contour"):
         generate_synthetic(spec, str(tmp_path))
 

@@ -108,7 +108,7 @@ def test_prefix_padding_matches_shorter_buffer():
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_runs_only_columns_with_a_valid_row(reverse, monkeypatch):
+def test_lstm_all_padding_columns_change_no_bit(reverse):
     rng = np.random.default_rng(16)
     d = rand_bre(rng, 3, 2).fwd
     cols = [5, 20, 39]
@@ -128,12 +128,8 @@ def test_lstm_runs_only_columns_with_a_valid_row(reverse, monkeypatch):
         return packed, [p.grad.copy() for p in weights]
 
     trimmed, trimmed_grads = run(x[:, cols], mask[:, cols], w[:, keep])
-    calls = []
-    real_tanh = np.tanh
-    monkeypatch.setattr(np, "tanh", lambda a: calls.append(1) or real_tanh(a))
     full, grads = run(x, mask, w)
-    assert len(calls) == 2 * len(cols)  # two tanh per recurrence step, none in BPTT
-    # the skipped columns change nothing: a buffer of only the valid columns agrees
+    # the all-padding columns run as no-ops: a buffer of only the valid columns agrees
     assert np.array_equal(full[:, keep], trimmed)
     assert not np.delete(full, keep, axis=1).any()
     for a, b in zip(grads, trimmed_grads):

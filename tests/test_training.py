@@ -125,18 +125,17 @@ def test_adam_skips_missing_grads():
 def test_adam_single_step_reduces_loss_across_inits():
     rng = np.random.default_rng(2)
     examples = make_examples(8, rng)
-    arrs = tr._Arrays(examples)
-    idx = np.arange(8)
+    labels = np.array([e.label for e in examples])
     for seed in range(20):
         m = tiny_model(seed=seed)
         opt = tr.Adam(m.parameters(), lr=1e-4)
-        probs, _ = arrs.forward(m, idx)
-        loss0 = tr.cross_entropy(probs, arrs.labels)
+        probs, _ = tr._forward(m, examples)
+        loss0 = tr.cross_entropy(probs, labels)
         opt.zero_grad()
         loss0.backward()
         opt.step()
-        probs, _ = arrs.forward(m, idx)
-        loss1 = tr.cross_entropy(probs, arrs.labels)
+        probs, _ = tr._forward(m, examples)
+        loss1 = tr.cross_entropy(probs, labels)
         assert loss1.item() < loss0.item(), seed
 
 
@@ -353,7 +352,7 @@ def test_first_batch_loss_is_initial_cross_entropy():
     by_id = {e.id: e for e in examples}
     batch = [by_id[i] for i in ids]
     twin = tiny_model(seed=2)
-    probs, _ = tr._Arrays(batch).forward(twin, np.arange(len(batch)))
+    probs, _ = tr._forward(twin, batch)
     want = tr.cross_entropy(probs, np.array([e.label for e in batch])).item()
     assert abs(loss - want) < 1e-12
 
@@ -484,9 +483,8 @@ def test_taped_nodes_per_training_step(tag, text_mode, monkeypatch):
 @pytest.mark.parametrize("tag, text_mode", VARIANTS)
 def test_predict_batch_matches_taped_forward_and_records_no_tape(tag, text_mode, monkeypatch):
     model, examples = variant_and_examples(tag, text_mode, np.random.default_rng(21))
-    arrs = tr._Arrays(examples)
-    taped, _ = arrs.forward(model, np.arange(len(arrs)))
-    tr.cross_entropy(taped, arrs.labels).backward()
+    taped, _ = tr._forward(model, examples)
+    tr.cross_entropy(taped, np.array([e.label for e in examples])).backward()
     grads = {name: p.grad for name, p in model.named_parameters().items()}
     assert all(g is not None for g in grads.values())
 
@@ -525,21 +523,17 @@ def test_predict_batch_buckets_by_length_and_keeps_input_order(tag, text_mode, n
     model = IntentClassifier(ModelVariant(tag, text_mode), audio_dim=5,
                              text_dim=4 if text_mode != "none" else None,
                              hidden=4, head_hidden=8, seed=2)
-    arrs = tr._Arrays(examples)
-    for p in model.parameters():
-        p.requires_grad = False
-    whole, _ = arrs.forward(model, np.arange(n))
-    for p in model.parameters():
-        p.requires_grad = True
+    with tr._no_tape(model):
+        whole, _ = tr._forward(model, examples)
 
     buckets = []
-    real_forward = tr._Arrays.forward
+    real_forward = tr._forward
 
-    def spy(self, model, idx):
-        buckets.append(self.audio_mask[idx].sum(axis=1))
-        return real_forward(self, model, idx)
+    def spy(model, batch):
+        buckets.append(np.array([e.audio.valid_len for e in batch]))
+        return real_forward(model, batch)
 
-    monkeypatch.setattr(tr._Arrays, "forward", spy)
+    monkeypatch.setattr(tr, "_forward", spy)
     probs, preds = tr.predict_batch(model, examples)
     assert np.array_equal(probs, whole.data)
     assert np.array_equal(preds, whole.data.argmax(axis=1))
