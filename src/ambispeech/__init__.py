@@ -5,8 +5,7 @@ additive attention, six model variants from audio-only to cross-attended
 multimodal, and a synthetic corpus generator for controlled experiments.
 """
 
-from .autodiff import (REGISTERED_OPS, Tensor, concat_last, gradient_check,
-                       masked_softmax)
+from .autodiff import REGISTERED_OPS, Tensor, gradient_check, masked_softmax
 from .checkpoint import load_params, save_params
 from .corpus import (INTENT_LABELS, Example, IntentLabel, UtteranceRecord,
                      featurize_corpus, load_embedding_table, load_manifest,
@@ -41,8 +40,8 @@ __all__ = [
     "NonFiniteError",
     "REGISTERED_OPS", "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig",
     "UtteranceRecord", "VARIANT_TAGS", "attend", "audio_features",
-    "bre_forward", "char_row", "compose", "concat_last",
-    "cross_entropy", "decompose", "encode_dense", "encode_sparse",
+    "bre_forward", "char_row", "compose", "cross_entropy", "decompose",
+    "encode_dense", "encode_sparse",
     "end_align", "evaluate", "featurize_corpus", "format_report",
     "generate_synthetic", "gradient_check", "init_attention", "init_bre",
     "load_embedding_table", "load_feature_sequence", "load_manifest",

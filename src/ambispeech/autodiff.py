@@ -5,7 +5,10 @@ replays the recorded closures in reverse topological order, visiting each
 node exactly once. Two helpers hold the whole tape rule, so no op reads
 requires_grad: _node records a result, with its closure and the parents
 that require grad, only when some parent requires grad; _accum drops any
-gradient routed to a tensor that does not require grad.
+gradient routed to a tensor that does not require grad. Each model layer
+(an encoder, an attention call, the classifier head) is one _node with a
+hand-written backward, so the engine itself keeps only the four ops the
+package calls: reshape, index, masked_softmax and nll.
 """
 
 from __future__ import annotations
@@ -44,19 +47,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf."""
@@ -101,78 +91,6 @@ def _node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], No
     return out
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    # collapse gradient of a broadcast operand back to its original shape
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-# ---------------------------------------------------------------- arithmetic
-
-
-def matmul(a, b) -> Tensor:
-    """Strict 2-D matrix product."""
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g: Array) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _node(out_data, (a, b), backward)
-
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data + b.data
-
-    def backward(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
-
-    return _node(out_data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data * b.data
-
-    def backward(g: Array) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _node(out_data, (a, b), backward)
-
-
-# ------------------------------------------------------------ nonlinearities
-
-
-def tanh(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g: Array) -> None:
-        _accum(a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), backward)
-
-
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g: Array) -> None:
-        _accum(a, g * (a.data > 0.0))
-
-    return _node(out_data, (a,), backward)
-
-
 # ------------------------------------------------------- shape manipulation
 
 
@@ -200,33 +118,6 @@ def index(a, key) -> Tensor:
         _accum(a, full)
 
     return _node(out_data, (a,), backward)
-
-
-def mean(a) -> Tensor:
-    a = _wrap(a)
-    n = a.data.size
-    out_data = np.asarray(a.data.mean())
-
-    def backward(g: Array) -> None:
-        _accum(a, np.full(a.shape, float(g) / n))
-
-    return _node(out_data, (a,), backward)
-
-
-def concat_last(parts: Sequence) -> Tensor:
-    """Concatenate along the last axis."""
-    ts = [_wrap(p) for p in parts]
-    if not ts:
-        raise ShapeError("concat_last needs at least one operand")
-    out_data = np.concatenate([t.data for t in ts], axis=-1)
-    widths = [t.shape[-1] for t in ts]
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g: Array) -> None:
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            _accum(t, g[..., lo:hi])
-
-    return _node(out_data, ts, backward)
 
 
 # ------------------------------------------------------------- normalization
@@ -296,15 +187,8 @@ def nll(probs, labels) -> Tensor:
 
 # every differentiable op the engine exposes, for exhaustive gradient tests
 REGISTERED_OPS: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "tanh": tanh,
-    "relu": relu,
     "reshape": reshape,
     "index": index,
-    "mean": mean,
-    "concat_last": concat_last,
     "masked_softmax": masked_softmax,
     "nll": nll,
 }

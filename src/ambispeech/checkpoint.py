@@ -2,9 +2,10 @@
 
 Layout: magic b"AMBI1", u32 entry count, then per entry a u16 path length,
 the UTF-8 path, u8 ndim, u32 per dimension, and the float64 payload.
-All integers and floats are little-endian. Every persisted file (checkpoints,
-model sidecars, feature-cache records) goes through write_atomic, so readers
-never observe a partial file.
+All integers and floats are little-endian. Every file the package persists
+(checkpoints, model sidecars, feature-cache records, and the logs, reports
+and CSVs the CLI writes) goes through write_atomic, so readers never observe
+a partial file.
 """
 
 from __future__ import annotations

@@ -129,6 +129,9 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs a manifest (flag or config)")
     if paths.out_dir is None:
         raise ConfigError("train needs an output dir (flag or config)")
+    out_dir = paths.out_dir
+    ckpt_dir = os.path.join(out_dir, "checkpoints")
+    os.makedirs(ckpt_dir, exist_ok=True)  # an --out that names a file fails before any work
     records = cp.load_manifest(paths.manifest)
     base_dir = os.path.dirname(os.path.abspath(paths.manifest))
     table = None
@@ -141,15 +144,11 @@ def cmd_train(args) -> int:
     text_dim = examples[0].text.dim if examples[0].text is not None else None
     model = md.IntentClassifier(variant, resolved.audio_dim, text_dim, seed=tcfg.seed,
                                 **cfg["model"])
-    out_dir = paths.out_dir
-    ckpt_dir = os.path.join(out_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
 
     train_set, test_set = tr.split_records(examples, tcfg.split_ratio, tcfg.seed,
                                            tcfg.group_by_script)
     epochs = tr.train(model, train_set, test_set, tcfg)
-    with open(os.path.join(out_dir, "log.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(tr.log_lines(epochs)) + "\n")
+    _write_lines(os.path.join(out_dir, "log.csv"), tr.log_lines(epochs))
     for r in epochs:
         if r.checkpoint is not None:
             ck.save_params(os.path.join(ckpt_dir, f"epoch_{r.epoch:03d}.ambi"), r.checkpoint)
@@ -159,9 +158,9 @@ def cmd_train(args) -> int:
     md.save_model(os.path.join(out_dir, "selected.ambi"), model, resolved,
                   embedding_path=paths.embedding)
     report = tr.evaluate(model, test_set)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"variant: {variant.tag}\ntext_mode: {variant.text_mode}\n"
-                 f"selected_epoch: {chosen.epoch}\n" + tr.format_report(report))
+    ck.write_atomic(os.path.join(out_dir, "report.txt"),
+                    (f"variant: {variant.tag}\ntext_mode: {variant.text_mode}\n"
+                     f"selected_epoch: {chosen.epoch}\n" + tr.format_report(report)).encode())
     _write_plot_csvs(out_dir, report)
     print(f"selected epoch {chosen.epoch}: accuracy {report.accuracy:.4f}, "
           f"macro F1 {report.macro_f1:.4f} ({out_dir})")
@@ -171,8 +170,11 @@ def cmd_train(args) -> int:
 def _write_plot_csvs(out_dir: str, report: tr.EvalReport) -> None:
     for name, lines in (("per_class_f1.csv", tr.per_class_csv(report)),
                         ("confusion.csv", tr.confusion_csv(report, "true\\pred"))):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(os.path.join(out_dir, name), lines)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    ck.write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _checkpoint_table(args, meta: dict) -> ft.EmbeddingTable:
@@ -197,8 +199,7 @@ def cmd_eval(args) -> int:
     report = tr.evaluate(model, examples)
     text = tr.format_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        ck.write_atomic(args.out, text.encode())
     else:
         print(text, end="")
     return 0

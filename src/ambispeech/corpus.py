@@ -197,6 +197,8 @@ def featurize_corpus(records: list[UtteranceRecord], cfg: FeatureConfig, text_mo
         raise ConfigError(f"unknown text mode {text_mode!r}")
     if text_mode == "dense" and table is None:
         raise ConfigError("dense text mode needs an embedding table")
+    if use_alt_transcript and text_mode == "none":
+        raise ConfigError("use_alt_transcript needs a text mode; text_mode 'none' reads no transcript")
     if not records:
         raise EmptyInputError("no records to featurize")
     texts = [r.alt_transcript if use_alt_transcript else r.transcript for r in records]

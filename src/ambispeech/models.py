@@ -81,7 +81,9 @@ class IntentClassifier:
     utterance padded to t_max thus runs as predict_batch([it]) does and
     matches a one-record eval bit for bit. aux carries the raw logits and
     every attention-weight matrix the variant produces, each at its
-    input's full width with exact zeros in the cut columns.
+    input's full width with exact zeros in the cut columns. The head, from
+    the concatenated pooled vectors through the MLP to the softmax, is one
+    fused graph node (_head), as each encoder and attention call is.
     """
 
     def __init__(self, variant: ModelVariant, audio_dim: int, text_dim: int | None = None,
@@ -117,10 +119,34 @@ class IntentClassifier:
 
     # ------------------------------------------------------------- forward
 
-    def _head(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        h1 = ad.relu(ad.add(ad.matmul(x, self.W1), self.b1))
-        logits = ad.add(ad.matmul(h1, self.W2), self.b2)
-        return ad.masked_softmax(logits, np.ones(N_CLASSES)), logits
+    def _head(self, parts: list[Tensor]) -> tuple[Tensor, Array]:
+        """(probs, logits) of softmax(relu([parts] @ W1 + b1) @ W2 + b2), one node.
+
+        The backward makes the numpy calls of the elementary chain (concat,
+        matmul, add, relu, softmax) in that chain's reverse order, so every
+        gradient matches it bit for bit.
+        """
+        W1, b1, W2, b2 = self.W1, self.b1, self.W2, self.b2
+        x = np.concatenate([p.data for p in parts], axis=-1)
+        z1 = x @ W1.data + b1.data
+        h1 = np.maximum(z1, 0.0)
+        logits = h1 @ W2.data + b2.data
+        probs = ad.masked_softmax(logits, np.ones(N_CLASSES)).data  # untaped: plain-array logits
+
+        def backward(g: Array) -> None:
+            d_logits = ad._softmax_grad(probs, g)
+            ad._accum(b2, d_logits.sum(axis=0))
+            ad._accum(W2, h1.T @ d_logits)
+            d_z1 = (d_logits @ W2.data.T) * (z1 > 0.0)
+            ad._accum(b1, d_z1.sum(axis=0))
+            ad._accum(W1, x.T @ d_z1)
+            dx = d_z1 @ W1.data.T
+            lo = 0
+            for p in parts:
+                ad._accum(p, dx[:, lo : lo + p.shape[-1]])
+                lo += p.shape[-1]
+
+        return ad._node(probs, (*parts, W1, b1, W2, b2), backward), logits
 
     def forward(self, audio, audio_mask=None, text=None, text_mask=None) -> tuple[Tensor, dict]:
         a, am, single = _as_batch(audio, audio_mask)
@@ -137,40 +163,39 @@ class IntentClassifier:
 
         H_a, f_a = bre_forward(a, self.audio_bre, am)
         if tag == "audio_bre":
-            x = f_a
+            parts = [f_a]
         else:
             w_a, r_a = self_attentive_pool(H_a, am, self.audio_att)
             aux["audio_self"] = w_a.data
             if tag == "audio_bre_att":
-                x = r_a
+                parts = [r_a]
             elif tag == "para_bre_att":
                 H_t, _ = bre_forward(t, self.text_bre, tm)
                 w_t, r_t = self_attentive_pool(H_t, tm, self.text_att)
                 aux["text_self"] = w_t.data
-                x = ad.concat_last([r_a, r_t])
+                parts = [r_a, r_t]
             elif tag in ("mha_a", "mha_at"):
                 H_t, _ = bre_forward(t, self.text_bre, tm)
                 w_t1, r_t1 = attend(H_t, tm, self.text_xatt, r_a)
                 aux["text_cross"] = w_t1.data
                 if tag == "mha_a":
-                    x = ad.concat_last([r_a, r_t1])
+                    parts = [r_a, r_t1]
                 else:
                     w_a2, r_a2 = attend(H_a, am, self.audio_xatt, r_t1)
                     aux["audio_cross"] = w_a2.data
-                    x = ad.concat_last([r_t1, r_a2])
+                    parts = [r_t1, r_a2]
             else:  # ca
                 H_t, f_t = bre_forward(t, self.text_bre, tm)
                 w_tp, r_tp = attend(H_t, tm, self.text_xatt, r_a)
                 w_ap, r_ap = attend(H_a, am, self.audio_xatt, f_t)
                 aux["text_cross"] = w_tp.data
                 aux["audio_cross"] = w_ap.data
-                x = ad.concat_last([r_ap, r_tp])
+                parts = [r_ap, r_tp]
 
         for key, w in aux.items():  # each map back at its input's width, zeros in front
             cut = cut_t if key.startswith("text") else cut_a
             aux[key] = np.concatenate([np.zeros((w.shape[0], cut)), w], axis=1)
-        probs, logits = self._head(x)
-        aux["logits"] = logits.data
+        probs, aux["logits"] = self._head(parts)
         if single:
             probs = ad.reshape(probs, (N_CLASSES,))
             aux = {k: v[0] for k, v in aux.items()}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ambispeech import autodiff as ad
+from ambispeech import checkpoint as ck
 from ambispeech import cli
 from ambispeech import corpus as cp
 from ambispeech import features as ft
@@ -284,6 +285,42 @@ def test_train_without_out_fails_before_featurizing(corpus, tmp_path, capsys):
     assert not cache.exists() or not any(cache.iterdir())
 
 
+def test_train_into_a_file_fails_before_featurizing(corpus, tmp_path, capsys):
+    cache, afile = tmp_path / "cache", tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    assert cli.main(["train", "--manifest", manifest(corpus), "--cache-dir", str(cache),
+                     "--out", str(afile), "--variant", "audio_bre"]) == 1
+    says = f"error: [Errno 20] Not a directory: '{afile / 'checkpoints'}'\n"
+    assert capsys.readouterr().err == says
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def train_one_epoch(corpus, out):
+    return cli.main(["train", "--config", str(corpus / "cfg.json"), "--manifest",
+                     manifest(corpus), "--cache-dir", str(corpus / "cache"), "--out", str(out),
+                     "--variant", "audio_bre", "--epochs", "1"])
+
+
+def test_every_file_train_and_eval_write_goes_through_write_atomic(corpus, tmp_path,
+                                                                   monkeypatch):
+    written = []
+    real = ck.write_atomic
+
+    def spy(path, data):
+        written.append(os.path.abspath(path))
+        real(path, data)
+
+    monkeypatch.setattr(ck, "write_atomic", spy)
+    out, report = tmp_path / "run", tmp_path / "eval.txt"
+    assert train_one_epoch(corpus, out) == 0
+    assert cli.main(["eval", "--checkpoint", str(out / "selected.ambi"), "--manifest",
+                     manifest(corpus), "--cache-dir", str(corpus / "cache"),
+                     "--out", str(report)]) == 0
+    on_disk = {os.path.abspath(os.path.join(d, f)) for d, _, fs in os.walk(out) for f in fs}
+    assert len(on_disk) == 7  # log, report, two CSVs, model, sidecar, one epoch checkpoint
+    assert sorted(written) == sorted(on_disk | {str(report)})
+
+
 def test_readme_config_passes_the_config_checks(tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
@@ -334,6 +371,20 @@ def test_eval_alt_transcript_fails_before_featurizing(corpus, trained, tmp_path,
                      "--manifest", manifest(corpus), "--cache-dir", str(cache),
                      "--use-alt-transcript"]) == 2
     assert capsys.readouterr().err == "error: record syn0000a has no alt_transcript\n"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_eval_alt_transcript_on_an_audio_only_checkpoint_fails(corpus, tmp_path, capsys):
+    assert train_one_epoch(corpus, tmp_path / "run") == 0
+    capsys.readouterr()
+    cache = tmp_path / "cache"
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "selected.ambi"),
+                     "--manifest", manifest(corpus), "--cache-dir", str(cache),
+                     "--use-alt-transcript"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: use_alt_transcript needs a text mode; "
+                            "text_mode 'none' reads no transcript\n")
     assert not cache.exists() or not any(cache.iterdir())
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from gradcases import weighted_sum
 
 from ambispeech import autodiff as ad
 from ambispeech import encoders as en
@@ -161,10 +162,11 @@ def test_bre_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
     p = rand_bre(rng, 3, 2)
     fs = fs_with_pad(rng, 5, 3, 3)
+    w_H, w_final = rng.normal(size=(1, 5, 4)), rng.normal(size=(1, 4))
 
     def loss(*_):
         H, final = en.bre_forward(fs.data[None], p, fs.mask[None])
-        return ad.mean(ad.add(ad.mean(ad.tanh(H)), ad.mean(final)))
+        return weighted_sum((H, w_H), (final, w_final))
 
     assert ad.gradient_check(loss, params(p)) < 1e-4
 
@@ -180,7 +182,7 @@ def test_padded_rows_leave_parameter_grads_unchanged():
         for t in params(p):
             t.grad = None
         _, final = en.bre_forward(inp, p, mask=mask)
-        ad.mean(final).backward()
+        weighted_sum((final, 1.0)).backward()
         return [t.grad.copy() for t in params(p)]
 
     g1 = grads(x)
@@ -293,7 +295,7 @@ def test_gradient_flows_into_learned_context():
 
     def loss(c):
         _, pooled = en.attend(H[None], mask[None], en.AttentionParams(ap.W, ap.b, c), c)
-        return ad.mean(pooled)
+        return weighted_sum((pooled, 1.0))
 
     assert ad.gradient_check(loss, [ap.c]) < 1e-4
 
@@ -355,7 +357,7 @@ def test_attend_gradient_matches_finite_differences(shared):
 
     def loss(H, W, b, c):
         _, pooled = en.attend(H, mask, en.AttentionParams(W, b), c)
-        return ad.mean(ad.mul(pooled, probe))
+        return weighted_sum((pooled, probe / probe.size))
 
     assert ad.gradient_check(loss, [H, W, b, ctx]) < 1e-6
     assert not H.grad[mask == 0.0].any()
@@ -386,7 +388,7 @@ def test_end_to_end_bre_attend_gradient():
     def loss(*_):
         H, _ = en.bre_forward(fs.data[None], p, fs.mask[None])
         _, pooled = en.attend(H, fs.mask[None], ap, ap.c)
-        return ad.mean(pooled)
+        return weighted_sum((pooled, 1.0))
 
     assert ad.gradient_check(loss, params(p) + params(ap)) < 1e-4
 

@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from gradcases import weighted_sum
 
 from ambispeech import autodiff as ad
 from ambispeech import models as md
+from ambispeech.autodiff import Tensor
 from ambispeech.errors import ConfigError, DataError, EmptyInputError, ModalityError, ShapeError
 from ambispeech.features import FeatureConfig, end_align
 
@@ -289,14 +291,32 @@ def test_parameter_paths_are_namespaced():
     assert "model.ca.audio_att.c" in names
 
 
+def test_head_gradient_matches_finite_differences():
+    # the fused head over one pooled part (audio_bre) and over two (ca)
+    rng = np.random.default_rng(27)
+    for tag, n_parts in (("audio_bre", 1), ("ca", 2)):
+        m = build(tag, seed=15, head_hidden=6)
+        m.b1.data = rng.normal(size=6)
+        head = [m.W1, m.b1, m.W2, m.b2]
+        parts = [Tensor(rng.normal(size=(3, 10))) for _ in range(n_parts)]
+
+        def loss(*inputs):
+            probs, _ = m._head(list(inputs[:n_parts]))
+            return ad.nll(probs, np.array([0, 4, 6]))
+
+        assert ad.gradient_check(loss, [*parts, *head]) < 1e-4, tag
+        probs, logits = m._head(parts)
+        assert probs._parents == (*parts, *head)
+        assert np.array_equal(probs.data, ad.masked_softmax(logits, np.ones(7)).data)
+
+
 @pytest.mark.parametrize("tag", md.VARIANT_TAGS)
 def test_gradients_reach_every_parameter(tag):
     m = build(tag, seed=13)
     audio, text = toy_inputs()
     probs, _ = m.forward(audio, text=None if tag in md.AUDIO_ONLY_TAGS else text)
-    # -mean(log p) over all seven classes: one nll over seven copies of the row
-    rows = ad.matmul(np.ones((7, 1)), ad.reshape(probs, (1, 7)))
-    ad.nll(rows, np.arange(7)).backward()
+    # distinct weights per class, so no softmax gradient cancels to zero
+    weighted_sum((probs, np.arange(1.0, 8.0))).backward()
     for name, p in m.named_parameters().items():
         assert p.grad is not None, name
         # forget-gate bias starts saturated enough that a zero grad would hide bugs

@@ -451,14 +451,14 @@ def variant_and_examples(tag, text_mode, rng):
     return model, examples
 
 
-NODES_PER_STEP = {"audio_bre": 10, "audio_bre_att": 11, "para_bre_att": 16, "mha_a": 16,
-                  "mha_at": 17, "ca": 17}
+NODES_PER_STEP = {"audio_bre": 5, "audio_bre_att": 6, "para_bre_att": 10, "mha_a": 10,
+                  "mha_at": 11, "ca": 11}
 
 
 @pytest.mark.parametrize("tag, text_mode", VARIANTS)
 def test_taped_nodes_per_training_step(tag, text_mode, monkeypatch):
     # each BRE is three nodes (the fused LSTM pair and its two index reads),
-    # each attention call one, the loss one
+    # each attention call one, the head one, the loss one
     model, examples = variant_and_examples(tag, text_mode, np.random.default_rng(26))
     taped = []
     real_node = ad._node
