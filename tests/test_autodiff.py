@@ -3,17 +3,60 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from gradcases import op_check_cases, weighted_sum
+from gradcases import head_model, head_stage_cases, op_check_cases, weighted_sum
 
 from ambispeech import autodiff as ad
 from ambispeech.autodiff import Tensor
+from ambispeech.encoders import attend, init_attention
 from ambispeech.errors import DegenerateMaskError, ShapeError
+
+
+def test_matmul_value_and_grads():
+    # the head's two products on hand-set weights: x @ W1 = 11, then h1 @ W2
+    m = head_model("audio_bre", hidden=1, head_hidden=1)
+    x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    m.W1.data = np.array([[3.0], [4.0]])
+    m.W2.data = np.eye(1, 7)
+    probs, logits = m._head([x])
+    np.testing.assert_array_equal(logits, 11.0 * np.eye(1, 7))
+    ad.nll(probs, np.array([0])).backward()
+    d0 = probs.data[0, 0] - 1.0  # d loss / d logits[0, 0]
+    np.testing.assert_allclose(x.grad, [[3.0 * d0, 4.0 * d0]], rtol=1e-12)
+    np.testing.assert_allclose(m.W1.grad, [[1.0 * d0], [2.0 * d0]], rtol=1e-12)
+    np.testing.assert_allclose(m.W2.grad, 11.0 * (probs.data - np.eye(1, 7)), rtol=1e-12)
 
 
 def test_backward_requires_scalar():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
         ad.reshape(t, (4,)).backward()
+
+
+def test_add_mul_broadcast_grads():
+    # a bias added to every row (the head's b1 and b2) and a context multiplied
+    # into every row (attend's shared context) each get the sum of the grads
+    # their rows get one at a time
+    rng = np.random.default_rng(5)
+    m = head_model("audio_bre")
+    ap = init_attention(rng, 4, 4, False)
+    ctx = Tensor(rng.normal(size=4), requires_grad=True)
+    x, H = rng.normal(size=(3, 4)), rng.normal(size=(3, 5, 4))
+    wp, wh = rng.normal(size=(3, 7)), rng.normal(size=(3, 4))
+    shared = (m.b1, m.b2, ctx)
+
+    def grads(rows):
+        for t in shared:
+            t.grad = None
+        probs, _ = m._head([Tensor(x[rows])])
+        _, pooled = attend(H[rows], np.ones(H[rows].shape[:2]), ap, ctx)
+        weighted_sum((probs, wp[rows]), (pooled, wh[rows])).backward()
+        return [t.grad.copy() for t in shared]
+
+    batched = grads(np.s_[:])
+    one_by_one = [grads(np.s_[i : i + 1]) for i in range(3)]
+    for got, *rows in zip(batched, *one_by_one):
+        assert got.shape == rows[0].shape
+        np.testing.assert_allclose(got, sum(rows), rtol=1e-12, atol=1e-15)
 
 
 def test_grad_accumulates_across_reuse():
@@ -35,14 +78,30 @@ def test_constant_inputs_record_no_parents():
         assert _untaped(fn(*inputs)), name
 
 
-def test_constant_operand_gets_no_grad():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    const = Tensor(np.full((2, 3), 0.5))
-    out = weighted_sum((x, 1.0), (const, 1.0))
-    assert out._parents == (x,)
-    out.backward()
-    assert x.grad is not None
-    assert const.grad is None
+@pytest.mark.parametrize("name", ["matmul", "add", "mul", "concat_last"])
+def test_constant_operand_gets_no_grad(name):
+    # each op runs inside a fused node now: the head's products, bias adds and
+    # concat, and attend's context product; a constant operand is no parent
+    rng = np.random.default_rng(4)
+    if name == "mul":
+        H = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        ap = init_attention(rng, 4, 4, False)
+        consts = [Tensor(rng.normal(size=4))]
+        _, out = attend(H, np.ones((2, 3)), ap, consts[0])
+        taped = [H, ap.W, ap.b]
+    else:
+        m = head_model("ca" if name == "concat_last" else "audio_bre")
+        parts = [Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+                 for _ in range(2 if name == "concat_last" else 1)]
+        consts = {"matmul": [m.W1, m.W2], "add": [m.b1, m.b2], "concat_last": parts[1:]}[name]
+        for t in consts:
+            t.requires_grad = False
+        out, _ = m._head(parts)
+        taped = [t for t in (*parts, m.W1, m.b1, m.W2, m.b2) if t.requires_grad]
+    assert out._parents == tuple(taped)
+    weighted_sum((out, rng.normal(size=out.shape))).backward()
+    assert all(t.grad is not None for t in taped)
+    assert all(t.grad is None for t in consts)
 
 
 def test_index_copies_and_rejects_array_keys():
@@ -164,8 +223,11 @@ def test_every_registered_op_has_a_caller():
         assert re.search(rf"\bad\.{name}\(", text), name
 
 
-@pytest.mark.parametrize("name", sorted(ad.REGISTERED_OPS))
+@pytest.mark.parametrize("name", sorted([*ad.REGISTERED_OPS, *head_stage_cases(np.random.default_rng(0))]))
 def test_op_gradients_match_finite_differences(name):
+    # the registered ops, and each step the fused head runs as one node
     for trial in range(3):
-        fn, inputs = op_check_cases(np.random.default_rng(100 + trial))[name]
+        rng = np.random.default_rng(100 + trial)
+        cases = op_check_cases(rng) if name in ad.REGISTERED_OPS else head_stage_cases(rng)
+        fn, inputs = cases[name]
         assert ad.gradient_check(fn, inputs) < 1e-4
