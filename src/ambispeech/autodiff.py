@@ -7,8 +7,9 @@ requires_grad: _node records a result, with its closure and the parents
 that require grad, only when some parent requires grad; _accum drops any
 gradient routed to a tensor that does not require grad. Each model layer
 (an encoder, an attention call, the classifier head) is one _node with a
-hand-written backward, so the engine itself keeps only the four ops the
-package calls: reshape, index, masked_softmax and nll.
+hand-written backward, so the engine itself keeps only the two ops the
+package calls: index and nll. masked_softmax is a plain array function;
+the layers that use it call _softmax_grad in their own backwards.
 """
 
 from __future__ import annotations
@@ -91,25 +92,15 @@ def _node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], No
     return out
 
 
-# ------------------------------------------------------- shape manipulation
-
-
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = _wrap(a)
-    out_data = a.data.reshape(shape)
-
-    def backward(g: Array) -> None:
-        _accum(a, g.reshape(a.shape))
-
-    return _node(out_data, (a,), backward)
+# ------------------------------------------------------------------ indexing
 
 
 def index(a, key) -> Tensor:
-    """a[key] for a basic-indexing key of ints and slices, as a copy."""
+    """a[key] for a basic-indexing key of ints, slices and None, as a copy."""
     a = _wrap(a)
     # an array key may repeat an entry, which the scattering backward would count once
-    if not all(isinstance(k, (int, np.integer, slice)) for k in np.index_exp[key]):
-        raise ShapeError(f"index takes ints and slices only, got {key!r}")
+    if not all(k is None or isinstance(k, (int, np.integer, slice)) for k in np.index_exp[key]):
+        raise ShapeError(f"index takes ints, slices and None only, got {key!r}")
     out_data = a.data[key].copy()
 
     def backward(g: Array) -> None:
@@ -123,17 +114,17 @@ def index(a, key) -> Tensor:
 # ------------------------------------------------------------- normalization
 
 
-def masked_softmax(scores, mask) -> Tensor:
-    """Softmax over the last axis restricted to positions where mask == 1.
+def masked_softmax(scores, mask) -> Array:
+    """Softmax over the last axis of an array, restricted to positions where mask == 1.
 
     Masked positions get exactly 0. Max-subtraction keeps exp() finite, so
     the result is invariant under adding a constant to the unmasked scores.
-    Both sums over the axis, the denominator and the backward's (g * out)
-    dot, run left to right (the last column of a cumsum), not in numpy's
-    pairwise grouping, so leading masked zeros add nothing: a row's output
-    and gradient do not depend on how much padding precedes it.
+    The denominator sums left to right (the last column of a cumsum), not
+    in numpy's pairwise grouping, so leading masked zeros add nothing: a
+    row's output does not depend on how much padding precedes it. No node
+    is recorded; a layer that differentiates through it calls _softmax_grad.
     """
-    s = _wrap(scores)
+    s = np.asarray(scores, dtype=np.float64)
     m = np.broadcast_to(np.asarray(mask, dtype=np.float64), s.shape)
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ShapeError("mask entries must be 0 or 1")
@@ -141,19 +132,14 @@ def masked_softmax(scores, mask) -> Tensor:
         raise DegenerateMaskError("mask selects no positions on some row")
     # max over unmasked entries only; masked slots contribute -inf surrogate
     neg = np.finfo(np.float64).min
-    shifted = np.where(m == 1.0, s.data, neg)
+    shifted = np.where(m == 1.0, s, neg)
     mx = shifted.max(axis=-1, keepdims=True)
-    e = np.where(m == 1.0, np.exp(s.data - mx), 0.0)
-    out_data = e / np.cumsum(e, axis=-1)[..., -1:]
-
-    def backward(g: Array) -> None:
-        _accum(s, _softmax_grad(out_data, g))
-
-    return _node(out_data, (s,), backward)
+    e = np.where(m == 1.0, np.exp(s - mx), 0.0)
+    return e / np.cumsum(e, axis=-1)[..., -1:]
 
 
 def _softmax_grad(out: Array, g: Array) -> Array:
-    """Score gradient of softmax output out; its dot runs left to right, as above."""
+    """Score gradient of softmax output out; its (g * out) dot runs left to right too."""
     return out * (g - np.cumsum(g * out, axis=-1)[..., -1:])
 
 
@@ -186,12 +172,7 @@ def nll(probs, labels) -> Tensor:
 
 
 # every differentiable op the engine exposes, for exhaustive gradient tests
-REGISTERED_OPS: dict[str, Callable] = {
-    "reshape": reshape,
-    "index": index,
-    "masked_softmax": masked_softmax,
-    "nll": nll,
-}
+REGISTERED_OPS: dict[str, Callable] = {"index": index, "nll": nll}
 
 
 # ------------------------------------------------------------ gradient check

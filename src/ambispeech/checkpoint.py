@@ -53,7 +53,7 @@ def save_params(path: str | os.PathLike, params: dict[str, np.ndarray]) -> None:
 
 
 def load_params(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into {path: float64 array}."""
+    """Read a checkpoint back into {path: float64 array}; a non-finite entry raises DataError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -91,6 +91,8 @@ def load_params(path: str | os.PathLike) -> dict[str, np.ndarray]:
             raise DataError(f"{path} is truncated")
         arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape)
         off += nbytes
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: parameter {name} holds a non-finite value")
         out[name] = arr.astype(np.float64)  # writable copy in native order
     if off != len(raw):
         raise DataError(f"{path} has {len(raw) - off} trailing bytes")

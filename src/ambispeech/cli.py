@@ -20,6 +20,7 @@ import numpy as np
 from . import checkpoint as ck
 from . import corpus as cp
 from . import features as ft
+from . import hangul
 from . import models as md
 from . import synth as sy
 from . import training as tr
@@ -134,16 +135,17 @@ def cmd_train(args) -> int:
     os.makedirs(ckpt_dir, exist_ok=True)  # an --out that names a file fails before any work
     records = cp.load_manifest(paths.manifest)
     base_dir = os.path.dirname(os.path.abspath(paths.manifest))
-    table = None
+    table, text_dim = None, hangul.N_SLOTS if variant.text_mode == "sparse" else None
     if variant.text_mode == "dense":
         if paths.embedding is None:
             raise ConfigError("dense text mode needs an embedding table path")
         table = cp.load_embedding_table(paths.embedding)
+        text_dim = table.dim
+    # built before featurizing, so a bad model config fails before any WAV is read
+    model = md.IntentClassifier(variant, cfg["features"].audio_dim, text_dim, seed=tcfg.seed,
+                                **cfg["model"])
     examples, resolved = cp.featurize_corpus(records, cfg["features"], variant.text_mode, table,
                                              cache_dir=paths.cache_dir, base_dir=base_dir)
-    text_dim = examples[0].text.dim if examples[0].text is not None else None
-    model = md.IntentClassifier(variant, resolved.audio_dim, text_dim, seed=tcfg.seed,
-                                **cfg["model"])
 
     train_set, test_set = tr.split_records(examples, tcfg.split_ratio, tcfg.seed,
                                            tcfg.group_by_script)

@@ -153,6 +153,8 @@ def load_embedding_table(path) -> EmbeddingTable:
             vec = np.array([float(p) for p in parts[1:]])
         except ValueError:
             raise ManifestError(f"{path} line {ln}: non-numeric vector entry") from None
+        if not np.isfinite(vec).all():
+            raise ManifestError(f"{path} line {ln}: non-finite vector entry")
         vectors[parts[0]] = vec
     if len(vectors) != count:
         raise ManifestError(f"{path}: header promised {count} entries, parsed {len(vectors)}")

@@ -194,13 +194,13 @@ def bre_forward(x, p: BREParams, mask) -> tuple[Tensor, Tensor]:
 # ------------------------------------------------------------------ attention
 
 
-def attend(H, mask, ap: AttentionParams, context) -> tuple[Tensor, Tensor]:
+def attend(H, mask, ap: AttentionParams, context) -> tuple[Array, Tensor]:
     """Additive attention over a (B, T, S) batch: score_t = context . tanh(W H_t + b).
 
     weights = masked_softmax(scores, mask) with a (B, T) mask, pooled =
     sum_t weights_t H_t; context is (B, d_c) or one shared (d_c,) vector.
-    pooled is one graph node with a hand-written backward; weights carries
-    no tape, so callers read only its data.
+    pooled is one graph node with a hand-written backward; weights is a
+    plain (B, T) array, since no gradient flows through the map itself.
     """
     Ht, ctx = ad._wrap(H), ad._wrap(context)
     m = np.asarray(mask, dtype=np.float64)
@@ -214,13 +214,13 @@ def attend(H, mask, ap: AttentionParams, context) -> tuple[Tensor, Tensor]:
     Hr = Ht.data.reshape(B * T, S)
     proj = np.tanh((Hr @ W.T).reshape(B, T, d_c) + ap.b.data)
     ctx3 = ctx.data.reshape((B, 1, d_c) if ctx.ndim == 2 else (1, 1, d_c))
-    weights = ad.masked_softmax((proj * ctx3).sum(axis=2), m)  # untaped: plain-array scores
-    w3 = weights.data.reshape(B, T, 1)
+    weights = ad.masked_softmax((proj * ctx3).sum(axis=2), m)
+    w3 = weights.reshape(B, T, 1)
     pooled = (w3 * Ht.data).sum(axis=1)
 
     def backward(g: Array) -> None:
         g3 = g.reshape(B, 1, S)
-        d_scores = ad._softmax_grad(weights.data, (g3 * Ht.data).sum(axis=2)).reshape(B, T, 1)
+        d_scores = ad._softmax_grad(weights, (g3 * Ht.data).sum(axis=2)).reshape(B, T, 1)
         d_pre = (d_scores * ctx3) * (1.0 - proj * proj)
         d_ctx = d_scores * proj
         dP = d_pre.reshape(B * T, d_c)
@@ -235,7 +235,7 @@ def attend(H, mask, ap: AttentionParams, context) -> tuple[Tensor, Tensor]:
     return weights, ad._node(pooled, (Ht, ap.W, ap.b, ctx), backward)
 
 
-def self_attentive_pool(H, mask, ap: AttentionParams) -> tuple[Tensor, Tensor]:
+def self_attentive_pool(H, mask, ap: AttentionParams) -> tuple[Array, Tensor]:
     """attend() against the learned context vector ap.c."""
     if ap.c is None:
         raise ShapeError("attention params carry no learned context")

@@ -347,7 +347,7 @@ def save_feature_sequence(path, fs: FeatureSequence) -> None:
 
 
 def load_feature_sequence(path) -> FeatureSequence:
-    """Read a cache record; any unreadable or invalid record raises DataError."""
+    """Read a cache record; any unreadable, invalid or non-finite record raises DataError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -364,6 +364,8 @@ def load_feature_sequence(path) -> FeatureSequence:
     if len(raw) != off + n * 8 + t_max:
         raise DataError(f"{path} has the wrong payload size")
     data = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(t_max, dim)
+    if not np.isfinite(data).all():
+        raise DataError(f"{path} holds a non-finite feature value")
     mask = np.frombuffer(raw, dtype=np.uint8, count=t_max, offset=off + n * 8)
     try:
         return FeatureSequence(data.astype(np.float64), mask.astype(np.float64))

@@ -131,7 +131,7 @@ class IntentClassifier:
         z1 = x @ W1.data + b1.data
         h1 = np.maximum(z1, 0.0)
         logits = h1 @ W2.data + b2.data
-        probs = ad.masked_softmax(logits, np.ones(N_CLASSES)).data  # untaped: plain-array logits
+        probs = ad.masked_softmax(logits, np.ones(N_CLASSES))
 
         def backward(g: Array) -> None:
             d_logits = ad._softmax_grad(probs, g)
@@ -166,30 +166,30 @@ class IntentClassifier:
             parts = [f_a]
         else:
             w_a, r_a = self_attentive_pool(H_a, am, self.audio_att)
-            aux["audio_self"] = w_a.data
+            aux["audio_self"] = w_a
             if tag == "audio_bre_att":
                 parts = [r_a]
             elif tag == "para_bre_att":
                 H_t, _ = bre_forward(t, self.text_bre, tm)
                 w_t, r_t = self_attentive_pool(H_t, tm, self.text_att)
-                aux["text_self"] = w_t.data
+                aux["text_self"] = w_t
                 parts = [r_a, r_t]
             elif tag in ("mha_a", "mha_at"):
                 H_t, _ = bre_forward(t, self.text_bre, tm)
                 w_t1, r_t1 = attend(H_t, tm, self.text_xatt, r_a)
-                aux["text_cross"] = w_t1.data
+                aux["text_cross"] = w_t1
                 if tag == "mha_a":
                     parts = [r_a, r_t1]
                 else:
                     w_a2, r_a2 = attend(H_a, am, self.audio_xatt, r_t1)
-                    aux["audio_cross"] = w_a2.data
+                    aux["audio_cross"] = w_a2
                     parts = [r_t1, r_a2]
             else:  # ca
                 H_t, f_t = bre_forward(t, self.text_bre, tm)
                 w_tp, r_tp = attend(H_t, tm, self.text_xatt, r_a)
                 w_ap, r_ap = attend(H_a, am, self.audio_xatt, f_t)
-                aux["text_cross"] = w_tp.data
-                aux["audio_cross"] = w_ap.data
+                aux["text_cross"] = w_tp
+                aux["audio_cross"] = w_ap
                 parts = [r_ap, r_tp]
 
         for key, w in aux.items():  # each map back at its input's width, zeros in front
@@ -197,7 +197,7 @@ class IntentClassifier:
             aux[key] = np.concatenate([np.zeros((w.shape[0], cut)), w], axis=1)
         probs, aux["logits"] = self._head(parts)
         if single:
-            probs = ad.reshape(probs, (N_CLASSES,))
+            probs = ad.index(probs, 0)
             aux = {k: v[0] for k, v in aux.items()}
         return probs, aux
 

@@ -70,6 +70,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_scripts < 1:
             raise ConfigError(f"n_scripts must be >= 1, got {self.n_scripts}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 2 <= self.variants_per_script <= 4:
             raise ConfigError(f"variants_per_script must be 2..4, got {self.variants_per_script}")
         unknown = [t for t in self.script_types if t not in SCRIPT_TYPES]

@@ -107,7 +107,7 @@ def cross_entropy(probs: Tensor, label) -> Tensor:
     labels = np.atleast_1d(np.asarray(label))
     if labels.dtype.kind not in "iu" or np.any(labels < 0) or np.any(labels >= N_CLASSES):
         raise LabelError(f"labels must be integers in 0..{N_CLASSES - 1}, got {label!r}")
-    p = probs if probs.ndim == 2 else ad.reshape(probs, (1, N_CLASSES))
+    p = probs if probs.ndim == 2 else ad.index(probs, None)
     if p.shape != (labels.shape[0], N_CLASSES):
         raise ConfigError(f"probs shape {probs.shape} does not fit {labels.shape[0]} labels")
     return ad.nll(p, labels)

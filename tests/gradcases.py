@@ -1,12 +1,13 @@
-"""Scalar-valued wrappers for every registered op, and for each step of the
-fused classifier head, shared by the unit and acceptance suites. Each case
-is (fn, inputs) ready for gradient_check."""
+"""Scalar-valued wrappers for every registered op, and for the arithmetic
+that took over each retired op, shared by the unit and acceptance suites.
+Each case is (fn, inputs) ready for gradient_check."""
 
 import numpy as np
 
 from ambispeech import autodiff as ad
 from ambispeech.autodiff import Tensor
 from ambispeech.models import AUDIO_ONLY_TAGS, IntentClassifier, ModelVariant
+from ambispeech.training import cross_entropy
 
 
 def weighted_sum(*terms) -> Tensor:
@@ -24,16 +25,23 @@ def weighted_sum(*terms) -> Tensor:
     return ad._node(np.asarray(total), [x for x, _ in terms], backward)
 
 
+def softmax_node(scores: Tensor, mask) -> Tensor:
+    """masked_softmax as one node, with the _softmax_grad backward that attend and the head call."""
+    out = ad.masked_softmax(scores.data, mask)
+    return ad._node(out, (scores,), lambda g: ad._accum(scores, ad._softmax_grad(out, g)))
+
+
 def op_check_cases(rng):
     t = lambda *s: Tensor(rng.normal(size=s), requires_grad=True)
     w = lambda *s: rng.normal(size=s)
-    mask = np.array([1.0, 1.0, 0.0, 1.0])
+
+    def index_reads(a, w1=w(3, 2), w2=w(1, 4)):
+        # an int key with slices, and a None key that adds an axis
+        return weighted_sum((ad.index(a, np.s_[1, :, 1:3]), w1),
+                            (ad.index(a, np.s_[None, 0, 2]), w2))
+
     return {
-        "reshape": (lambda a, w=w(4, 3): weighted_sum((ad.reshape(a, (4, 3)), w)), [t(3, 4)]),
-        "index": (lambda a, w=w(3, 2): weighted_sum((ad.index(a, np.s_[1, :, 1:3]), w)),
-                  [t(2, 3, 4)]),
-        "masked_softmax": (lambda a, w=w(2, 4): weighted_sum((ad.masked_softmax(a, mask), w)),
-                           [t(2, 4)]),
+        "index": (index_reads, [t(2, 3, 4)]),
         "nll": (
             lambda p: ad.nll(p, np.array([2, 0, 3])),
             [Tensor(rng.uniform(0.1, 1.0, size=(3, 4)), requires_grad=True)],
@@ -49,13 +57,20 @@ def head_model(tag, seed=0, hidden=2, head_hidden=5) -> IntentClassifier:
                             head_hidden=head_hidden, seed=seed)
 
 
-def head_stage_cases(rng):
-    """One case per elementary step that IntentClassifier._head fuses into one
-    node, keyed by the op it once was. Each checks the inputs whose gradient
-    lines that step writes: the per-part slices of the concat, the two weight
-    products, the two row-broadcast bias adds, and the relu mask (b1 is
-    random, so z1 takes both signs)."""
+def retired_op_cases(rng):
+    """One case per op the engine no longer registers, keyed by its old name,
+    on the arithmetic that does its job now.
+
+    Four are the elementary steps that IntentClassifier._head fuses into one
+    node. Each checks the inputs whose gradient lines that step writes: the
+    per-part slices of the concat, the two weight products, the two
+    row-broadcast bias adds, and the relu mask (b1 is random, so z1 takes
+    both signs). masked_softmax checks _softmax_grad on a masked row, and
+    reshape the two index reads a single utterance takes to the loss: one
+    row of the batch, then a new leading axis in cross_entropy.
+    """
     labels = np.array([0, 4, 6])
+    mask = np.array([1.0, 1.0, 0.0, 1.0])
 
     def case(tag, inputs_of):
         m = head_model(tag, seed=int(rng.integers(1000)))
@@ -69,4 +84,10 @@ def head_stage_cases(rng):
         "matmul": case("audio_bre", lambda m, parts: [m.W1, m.W2]),
         "add": case("audio_bre", lambda m, parts: [m.b1, m.b2]),
         "relu": case("audio_bre", lambda m, parts: [*parts, m.b1]),
+        "masked_softmax": (
+            lambda a, w=rng.normal(size=(2, 4)): weighted_sum((softmax_node(a, mask), w)),
+            [Tensor(rng.normal(size=(2, 4)), requires_grad=True)],
+        ),
+        "reshape": (lambda p: cross_entropy(ad.index(p, 1), 4),
+                    [Tensor(rng.uniform(0.1, 1.0, size=(3, 7)), requires_grad=True)]),
     }

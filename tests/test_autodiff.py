@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from gradcases import head_model, head_stage_cases, op_check_cases, weighted_sum
+from gradcases import head_model, op_check_cases, retired_op_cases, weighted_sum
 
 from ambispeech import autodiff as ad
 from ambispeech.autodiff import Tensor
@@ -29,7 +29,7 @@ def test_matmul_value_and_grads():
 def test_backward_requires_scalar():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        ad.reshape(t, (4,)).backward()
+        ad.index(t, 0).backward()
 
 
 def test_add_mul_broadcast_grads():
@@ -110,54 +110,72 @@ def test_index_copies_and_rejects_array_keys():
     assert np.array_equal(out.data, x.data[:, 2])
     out.data[0, 0] = -1.0
     assert x.data[0, 2, 0] == 8.0
-    for key in (np.array([0, 0]), [0, 1], np.s_[:, [2, 2]]):
+    for key in (np.array([0, 0]), [0, 1], np.s_[:, [2, 2]], np.s_[..., 0]):
         with pytest.raises(ShapeError):
             ad.index(x, key)
+
+
+def test_index_none_key_adds_an_axis_and_scatters_back():
+    # the rank adapters of a single utterance: forward's index(probs, 0) and
+    # cross_entropy's index(probs, None) return a row and its (1, C) view
+    probs = Tensor(np.array([[0.2, 0.8], [0.6, 0.4]]), requires_grad=True)
+    row = ad.index(probs, 1)
+    batch = ad.index(row, None)
+    assert row.shape == (2,) and batch.shape == (1, 2)
+    assert np.array_equal(batch.data, [[0.6, 0.4]])
+    ad.nll(batch, np.array([0])).backward()
+    assert np.array_equal(row.grad, [-1.0 / 0.6, 0.0])
+    assert np.array_equal(probs.grad, [[0.0, 0.0], [-1.0 / 0.6, 0.0]])
 
 
 def test_deep_chain_does_not_recurse():
     x = Tensor(np.array(0.5), requires_grad=True)
     y = x
     for _ in range(5000):
-        y = ad.reshape(y, ())
+        y = ad.index(y, ())
     y.backward()
     assert float(x.grad) == 1.0
 
 
+def test_masked_softmax_is_a_plain_array_function():
+    p = ad.masked_softmax(np.array([[1.0, 2.0], [3.0, 0.0]]), np.ones(2))
+    assert type(p) is np.ndarray and p.dtype == np.float64 and p.shape == (2, 2)
+    assert "masked_softmax" not in ad.REGISTERED_OPS
+
+
 def test_softmax_matches_reference_values():
-    p = ad.masked_softmax(Tensor(np.array([1.0, 2.0, 3.0])), np.ones(3))
-    np.testing.assert_allclose(p.data, [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
-    assert p.data.sum() == pytest.approx(1.0)
+    p = ad.masked_softmax(np.array([1.0, 2.0, 3.0]), np.ones(3))
+    np.testing.assert_allclose(p, [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
+    assert p.sum() == pytest.approx(1.0)
 
 
 def test_masked_softmax_zeroes_masked_slots():
-    p = ad.masked_softmax(Tensor(np.array([1.0, 2.0, 5.0])), np.array([1.0, 1.0, 0.0]))
-    np.testing.assert_allclose(p.data[:2], [0.26894142, 0.73105858], atol=1e-8)
-    assert p.data[2] == 0.0  # exact, not merely tiny
+    p = ad.masked_softmax(np.array([1.0, 2.0, 5.0]), np.array([1.0, 1.0, 0.0]))
+    np.testing.assert_allclose(p[:2], [0.26894142, 0.73105858], atol=1e-8)
+    assert p[2] == 0.0  # exact, not merely tiny
 
 
 def test_masked_softmax_shift_invariant():
     rng = np.random.default_rng(0)
     s = rng.normal(size=7)
     m = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
-    p1 = ad.masked_softmax(Tensor(s), m).data
-    p2 = ad.masked_softmax(Tensor(s + 1234.5), m).data
+    p1 = ad.masked_softmax(s, m)
+    p2 = ad.masked_softmax(s + 1234.5, m)
     np.testing.assert_allclose(p1, p2, atol=1e-12)
 
 
 def test_masked_softmax_ignores_leading_masked_columns():
-    # the sums run left to right, so leading masked slots, whatever their
-    # scores, change no bit of the output or of the gradient
+    # both sums run left to right, the denominator and _softmax_grad's dot,
+    # so leading masked slots, whatever their scores, change no bit of the
+    # output or of the score gradient
     rng = np.random.default_rng(3)
     scores = rng.normal(size=(3, 40)) * 4.0
     mask = (np.arange(40) >= np.array([[0], [17], [31]])).astype(float)
     upstream = rng.normal(size=(3, 40))
 
     def run(s, m, g):
-        t = Tensor(s, requires_grad=True)
-        p = ad.masked_softmax(t, m)
-        weighted_sum((p, g)).backward()
-        return p.data, t.grad
+        p = ad.masked_softmax(s, m)
+        return p, ad._softmax_grad(p, g)
 
     out0, grad0 = run(scores, mask, upstream)
     for k in range(1, 17):
@@ -169,23 +187,22 @@ def test_masked_softmax_ignores_leading_masked_columns():
 
 
 def test_masked_softmax_extreme_scores_stay_finite():
-    p = ad.masked_softmax(Tensor(np.array([1e4, -1e4, 0.0])), np.ones(3))
-    assert np.all(np.isfinite(p.data))
-    assert p.data.sum() == pytest.approx(1.0)
+    p = ad.masked_softmax(np.array([1e4, -1e4, 0.0]), np.ones(3))
+    assert np.all(np.isfinite(p))
+    assert p.sum() == pytest.approx(1.0)
 
 
 def test_masked_softmax_rejects_degenerate_mask():
     with pytest.raises(DegenerateMaskError):
-        ad.masked_softmax(Tensor(np.ones(3)), np.zeros(3))
+        ad.masked_softmax(np.ones(3), np.zeros(3))
     with pytest.raises(DegenerateMaskError):
         # batched: one row all-masked is enough
-        ad.masked_softmax(Tensor(np.ones((2, 3))),
-                          np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+        ad.masked_softmax(np.ones((2, 3)), np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
 
 
 def test_masked_softmax_rejects_nonbinary_mask():
     with pytest.raises(ShapeError):
-        ad.masked_softmax(Tensor(np.ones(3)), np.array([1.0, 0.5, 1.0]))
+        ad.masked_softmax(np.ones(3), np.array([1.0, 0.5, 1.0]))
 
 
 def test_gradient_check_validates_eps():
@@ -223,11 +240,11 @@ def test_every_registered_op_has_a_caller():
         assert re.search(rf"\bad\.{name}\(", text), name
 
 
-@pytest.mark.parametrize("name", sorted([*ad.REGISTERED_OPS, *head_stage_cases(np.random.default_rng(0))]))
+@pytest.mark.parametrize("name", sorted([*ad.REGISTERED_OPS, *retired_op_cases(np.random.default_rng(0))]))
 def test_op_gradients_match_finite_differences(name):
-    # the registered ops, and each step the fused head runs as one node
+    # the registered ops, and the arithmetic that took over each retired one
     for trial in range(3):
         rng = np.random.default_rng(100 + trial)
-        cases = op_check_cases(rng) if name in ad.REGISTERED_OPS else head_stage_cases(rng)
+        cases = op_check_cases(rng) if name in ad.REGISTERED_OPS else retired_op_cases(rng)
         fn, inputs = cases[name]
         assert ad.gradient_check(fn, inputs) < 1e-4

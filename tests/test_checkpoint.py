@@ -77,6 +77,15 @@ def test_non_utf8_name_is_data_error(tmp_path, params):
         load_params(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_is_data_error_naming_the_parameter(tmp_path, params, bad):
+    params["model.head.W1"][3, 4] = bad
+    path = tmp_path / "m.ambi"
+    save_params(path, params)
+    with pytest.raises(DataError, match="parameter model.head.W1 holds a non-finite value"):
+        load_params(path)
+
+
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_params(tmp_path / "absent.ambi")

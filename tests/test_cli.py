@@ -2,6 +2,8 @@ import contextlib
 import json
 import os
 import re
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from ambispeech import corpus as cp
 from ambispeech import features as ft
 from ambispeech import models as md
 from ambispeech import training as tr
+from ambispeech.errors import DataError
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,12 @@ def test_synth_rejects_bad_types(corpus):
                      "--n-scripts", "2", "--types", "ynwh,zzz"]) == 2
 
 
+def test_synth_rejects_a_negative_seed(tmp_path, capsys):
+    assert cli.main(["synth", "--out", str(tmp_path / "corpus"),
+                     "--n-scripts", "2", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 # ---------------------------------------------------------------- featurize
 
 
@@ -89,6 +98,25 @@ def test_featurize_repairs_a_truncated_cache_entry(corpus, trained, capsys):
     assert cli.main(["eval", "--checkpoint", str(trained / "selected.ambi"),
                      "--manifest", manifest(corpus), "--cache-dir", str(cache)]) == 0
     assert capsys.readouterr().out.startswith("accuracy: ")
+    assert victim.read_bytes() == raw
+
+
+def test_eval_repairs_a_non_finite_cache_entry(corpus, trained, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    shutil.copytree(corpus / "cache", cache)
+    argv = ["eval", "--checkpoint", str(trained / "selected.ambi"),
+            "--manifest", manifest(corpus), "--cache-dir", str(cache)]
+    assert cli.main(argv) == 0
+    clean = capsys.readouterr().out
+    victim = sorted(cache.iterdir())[0]
+    raw = victim.read_bytes()
+    poisoned = bytearray(raw)
+    poisoned[len(ft._CACHE_MAGIC) + 8 : len(ft._CACHE_MAGIC) + 16] = struct.pack("<d", np.nan)
+    victim.write_bytes(bytes(poisoned))
+    with pytest.raises(DataError, match="non-finite"):
+        ft.load_feature_sequence(victim)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == clean
     assert victim.read_bytes() == raw
 
 
@@ -196,16 +224,18 @@ def test_train_without_cache_matches_cached_run(corpus, trained, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_train_stops_on_non_finite_features(corpus, trained, tmp_path, capsys):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    for entry in (corpus / "cache").iterdir():
-        seq = ft.load_feature_sequence(entry)
-        data = seq.data.copy()
-        data[-1, 0] = np.inf
-        ft.save_feature_sequence(cache / entry.name, ft.FeatureSequence(data, seq.mask))
+def test_train_stops_on_non_finite_features(corpus, tmp_path, capsys, monkeypatch):
+    # the cache loader repairs a non-finite entry, so the inf enters where frames are computed
+    real = ft.audio_frame_matrix
+
+    def poisoned(signal, cfg):
+        mat = real(signal, cfg)
+        mat[-1, 0] = np.inf
+        return mat
+
+    monkeypatch.setattr(ft, "audio_frame_matrix", poisoned)
     assert cli.main(["train", "--config", str(corpus / "cfg.json"),
-                     "--manifest", manifest(corpus), "--cache-dir", str(cache),
+                     "--manifest", manifest(corpus), "--cache-dir", str(tmp_path / "cache"),
                      "--out", str(tmp_path / "run"), "--variant", "audio_bre"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: epoch 1, batch 0:") and err.count("\n") == 1
@@ -292,6 +322,15 @@ def test_train_into_a_file_fails_before_featurizing(corpus, tmp_path, capsys):
                      "--out", str(afile), "--variant", "audio_bre"]) == 1
     says = f"error: [Errno 20] Not a directory: '{afile / 'checkpoints'}'\n"
     assert capsys.readouterr().err == says
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_train_with_a_bad_model_config_fails_before_featurizing(corpus, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert cli.main(["train", "--manifest", manifest(corpus), "--cache-dir", str(cache),
+                     "--out", str(tmp_path / "run"), "--variant", "ca", "--text-mode", "sparse",
+                     "--hidden", "0"]) == 2
+    assert capsys.readouterr().err == "error: 'hidden' must be a positive integer, got 0\n"
     assert not cache.exists() or not any(cache.iterdir())
 
 
@@ -463,6 +502,25 @@ def test_predict_on_a_corrupt_checkpoint_name_is_one_error(corpus, trained, tmp_
                      "--transcript", "가나"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_non_finite_checkpoint_is_one_error(corpus, trained, tmp_path, capsys, command):
+    params = ck.load_params(trained / "selected.ambi")
+    name = sorted(params)[0]
+    params[name].flat[0] = np.nan
+    ckpt = tmp_path / "m.ambi"
+    ck.save_params(ckpt, params)
+    (tmp_path / "m.ambi.json").write_bytes((trained / "selected.ambi.json").read_bytes())
+    argv = [command, "--checkpoint", str(ckpt)]
+    if command == "eval":
+        argv += ["--manifest", manifest(corpus), "--cache-dir", str(corpus / "cache")]
+    else:
+        argv += ["--wav", str(corpus / "corpus" / "wav" / "syn0000a.wav"), "--transcript", "가나"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {ckpt}: parameter {name} holds a non-finite value\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

@@ -161,6 +161,14 @@ def test_embedding_table_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ManifestError, match="promised 3"):
         cp.load_embedding_table(path)
 
+    path.write_text("2 3\n가 nan 0 1\n나 0 inf 1\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match="line 2: non-finite"):
+        cp.load_embedding_table(path)
+
+    path.write_text("2 3\n가 0 0 1\n나 0 -inf 1\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match="line 3: non-finite"):
+        cp.load_embedding_table(path)
+
 
 # ----------------------------------------------------------------- pipeline
 
@@ -324,6 +332,8 @@ def test_spec_validation():
         SyntheticSpec(variants_per_script=5)
     with pytest.raises(ConfigError):
         SyntheticSpec(script_types=("ynwh", "mystery"))
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        SyntheticSpec(seed=-1)
 
 
 def test_contour_collision_on_one_script_is_rejected(tmp_path, monkeypatch):

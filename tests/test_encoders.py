@@ -31,7 +31,7 @@ def bre_one(fs, p):
 def attend_one(H, mask, ap, context):
     """attend on a batch of one (T, S) state matrix, unbatched again."""
     w, pooled = en.attend(np.asarray(H)[None], np.asarray(mask)[None], ap, context)
-    return w.data[0], pooled.data[0]
+    return w[0], pooled.data[0]
 
 
 # ---------------------------------------------------------------- bre_forward
@@ -282,7 +282,7 @@ def test_uniform_weights_at_init():
     H = rng.normal(size=(5, 4))
     mask = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
     w, pooled = en.self_attentive_pool(H[None], mask[None], ap)
-    np.testing.assert_allclose(w.data[0, 1:], 0.25, atol=1e-12)
+    np.testing.assert_allclose(w[0, 1:], 0.25, atol=1e-12)
     np.testing.assert_allclose(pooled.data[0], H[1:].mean(axis=0), atol=1e-12)
 
 
@@ -319,7 +319,7 @@ def test_attend_is_one_node(shared, monkeypatch):
     w, pooled = en.attend(H, np.ones((2, 5)), ap, ctx)
     assert len(taped) == 1 and taped[0] is pooled
     assert pooled._parents == (H, ap.W, ap.b, ctx)
-    assert not w.requires_grad and w._parents == ()
+    assert type(w) is np.ndarray and w.shape == (2, 5)
 
 
 def test_bre_is_one_node(monkeypatch):
@@ -406,5 +406,5 @@ def test_batched_attend_matches_single():
     wb, pb = en.attend(Hs, masks, ap, ctx)
     for k in range(2):
         ws, ps = attend_one(Hs[k], masks[k], ap, ap.c.data)
-        np.testing.assert_allclose(wb.data[k], ws, atol=1e-14)
+        np.testing.assert_allclose(wb[k], ws, atol=1e-14)
         np.testing.assert_allclose(pb.data[k], ps, atol=1e-14)

@@ -412,9 +412,16 @@ def test_feature_cache_rejects_corruption(tmp_path):
     bad_mask = bytearray(raw)
     bad_mask[-1] = 7  # a mask byte that is neither 0 nor 1
     (tmp_path / "bad3.ambf").write_bytes(bytes(bad_mask))
+    for name, bad in (("bad4.ambf", np.nan), ("bad5.ambf", -np.inf)):
+        data = np.ones((2, 3))
+        data[1, 2] = bad
+        ft.save_feature_sequence(tmp_path / name, ft.end_align(data, 4))
     with pytest.raises(DataError, match="magic"):
         ft.load_feature_sequence(tmp_path / "bad1.ambf")
     with pytest.raises(DataError):
         ft.load_feature_sequence(tmp_path / "bad2.ambf")
     with pytest.raises(DataError):
         ft.load_feature_sequence(tmp_path / "bad3.ambf")
+    for name in ("bad4.ambf", "bad5.ambf"):
+        with pytest.raises(DataError, match="non-finite"):
+            ft.load_feature_sequence(tmp_path / name)
