@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -151,9 +152,12 @@ def cmd_train(args) -> int:
                                            tcfg.group_by_script)
     epochs = tr.train(model, train_set, test_set, tcfg)
     _write_lines(os.path.join(out_dir, "log.csv"), tr.log_lines(epochs))
-    for r in epochs:
-        if r.checkpoint is not None:
-            ck.save_params(os.path.join(ckpt_dir, f"epoch_{r.epoch:03d}.ambi"), r.checkpoint)
+    held = {f"epoch_{r.epoch:03d}.ambi": r.checkpoint for r in epochs if r.checkpoint is not None}
+    for name, state in held.items():
+        ck.save_params(os.path.join(ckpt_dir, name), state)
+    for name in os.listdir(ckpt_dir):  # a reused --out keeps no epoch of an earlier run
+        if re.fullmatch(r"epoch_\d+\.ambi", name) and name not in held:
+            os.remove(os.path.join(ckpt_dir, name))
 
     chosen = tr.select_checkpoint(epochs)
     model.load_state(chosen.checkpoint)
@@ -211,15 +215,10 @@ def cmd_predict(args) -> int:
     model, fcfg, meta = md.load_model(args.checkpoint)
     signal = ft.read_wav(args.wav)
     audio_fs = ft.audio_features(signal, fcfg)
-    text_fs = None
-    if meta["text_mode"] != "none":
-        if args.transcript is None:
-            raise ConfigError(f"variant {meta['variant']} needs --transcript")
-        if meta["text_mode"] == "sparse":
-            text_fs = ft.encode_sparse(args.transcript, fcfg.text_t_max)
-        else:
-            text_fs = ft.encode_dense(args.transcript, _checkpoint_table(args, meta),
-                                      fcfg.text_t_max)
+    if meta["text_mode"] != "none" and args.transcript is None:
+        raise ConfigError(f"variant {meta['variant']} needs --transcript")
+    table = _checkpoint_table(args, meta) if meta["text_mode"] == "dense" else None
+    text_fs = cp.text_features(args.transcript, meta["text_mode"], table, fcfg.text_t_max)
     with tr._no_tape(model):
         probs, aux = model.forward(audio_fs, text=text_fs)
     attention = {}

@@ -19,9 +19,12 @@ def check_fields(obj, ranges: dict) -> None:
     An annotation is int, float (an int or float within the finite float range),
     bool or str, maybe "| None", matched with type() so JSON true is not 1. ranges
     maps a field to (predicate, text), read as "<field> must be <text>"; None skips it.
+    A tuple field is left to its owner, which checks its items.
     """
     hints = _hints(type(obj))
     for f in dataclasses.fields(obj):
+        if typing.get_origin(hints[f.name]) is tuple:
+            continue
         value = getattr(obj, f.name)
         kind, *rest = typing.get_args(hints[f.name]) or (hints[f.name],)
         if value is None and rest:

@@ -36,6 +36,7 @@ class IntentLabel(enum.IntEnum):
 
 
 INTENT_LABELS = tuple(lbl.name for lbl in IntentLabel)
+TEXT_MODES = ("none", "sparse", "dense")  # how a model reads the transcript; see text_features
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,9 @@ def load_manifest(path) -> list[UtteranceRecord]:
     unknown = [c for c in header if c not in _COLUMNS + _OPTIONAL_COLUMNS]
     if unknown:
         raise ManifestError(f"{path} line 1: unknown columns {unknown}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ManifestError(f"{path} line 1: duplicate columns {repeated}")
     idx = {c: header.index(c) for c in header}
 
     records: list[UtteranceRecord] = []
@@ -156,12 +160,19 @@ def load_embedding_table(path) -> EmbeddingTable:
         if not np.isfinite(vec).all():
             raise ManifestError(f"{path} line {ln}: non-finite vector entry")
         vectors[parts[0]] = vec
+    extra = [ln for ln, line in enumerate(lines[count + 1 :], start=count + 2) if line.strip()]
+    if extra:
+        raise ManifestError(f"{path} line {extra[0]}: more entries than the header's count {count}")
     if len(vectors) != count:
         raise ManifestError(f"{path}: header promised {count} entries, parsed {len(vectors)}")
     return EmbeddingTable(vectors, dim)
 
 
 def save_embedding_table(path, table: EmbeddingTable) -> None:
+    """Inverse of load_embedding_table, whose lines split on spaces: a token holds no whitespace."""
+    spaced = [t for t in table.vectors if any(ch.isspace() for ch in t)]
+    if spaced:
+        raise ConfigError(f"table tokens {spaced[:3]} hold whitespace, which the format splits on")
     out = [f"{len(table.vectors)} {table.dim}"]
     for token, vec in table.vectors.items():
         out.append(token + " " + " ".join(repr(float(v)) for v in vec))
@@ -195,7 +206,7 @@ def featurize_corpus(records: list[UtteranceRecord], cfg: FeatureConfig, text_mo
     missing, keeps them in the cache that `ambispeech featurize` fills.
     base_dir resolves relative audio paths (defaults to the cwd).
     """
-    if text_mode not in ("none", "sparse", "dense"):
+    if text_mode not in TEXT_MODES:
         raise ConfigError(f"unknown text mode {text_mode!r}")
     if text_mode == "dense" and table is None:
         raise ConfigError("dense text mode needs an embedding table")
@@ -224,11 +235,16 @@ def featurize_corpus(records: list[UtteranceRecord], cfg: FeatureConfig, text_mo
     examples = []
     for r, text, mat in zip(records, texts, frame_mats):
         audio_fs = ft.end_align(mat, resolved.audio_t_max)
-        if text_mode == "none":
-            text_fs = None
-        elif text_mode == "sparse":
-            text_fs = ft.encode_sparse(text, resolved.text_t_max)
-        else:
-            text_fs = ft.encode_dense(text, table, resolved.text_t_max)
+        text_fs = text_features(text, text_mode, table, resolved.text_t_max)
         examples.append(Example(r.id, audio_fs, text_fs, int(r.label), r.speaker, r.transcript))
     return examples, resolved
+
+
+def text_features(text: str, text_mode: str, table: EmbeddingTable | None,
+                  t_max: int | None) -> FeatureSequence | None:
+    """A transcript's features under text_mode: none, sparse rows, or dense rows from table."""
+    if text_mode == "none":
+        return None
+    if text_mode == "sparse":
+        return ft.encode_sparse(text, t_max)
+    return ft.encode_dense(text, table, t_max)

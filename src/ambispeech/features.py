@@ -277,20 +277,19 @@ class EmbeddingTable:
 
 def encode_sparse(text: str, t_max: int | None = None) -> FeatureSequence:
     """One 69-dim multi-hot row per character of the trimmed text."""
-    trimmed = text.strip()
-    if not trimmed:
-        raise EmptyInputError("text is empty after trimming")
-    rows = np.stack([hangul.char_row(ch) for ch in trimmed])
-    return end_align(rows, t_max)
+    return _encode_chars(text, hangul.char_row, t_max)
 
 
 def encode_dense(text: str, table: EmbeddingTable, t_max: int | None = None) -> FeatureSequence:
     """One embedding row per character of the trimmed text."""
+    return _encode_chars(text, table.lookup, t_max)
+
+
+def _encode_chars(text: str, row, t_max: int | None) -> FeatureSequence:
     trimmed = text.strip()
     if not trimmed:
         raise EmptyInputError("text is empty after trimming")
-    rows = np.stack([table.lookup(ch) for ch in trimmed])
-    return end_align(rows, t_max)
+    return end_align(np.stack([row(ch) for ch in trimmed]), t_max)
 
 
 # ------------------------------------------------------------------ wav io

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import checkpoint
 from .autodiff import Tensor
 from .config import read_section
-from .corpus import INTENT_LABELS
+from .corpus import INTENT_LABELS, TEXT_MODES
 from .encoders import (attend, bre_forward, init_attention, init_bre,
                        self_attentive_pool)
 from .errors import ConfigError, DataError, ModalityError, ShapeError
@@ -28,7 +28,6 @@ N_CLASSES = len(INTENT_LABELS)
 
 VARIANT_TAGS = ("audio_bre", "audio_bre_att", "para_bre_att", "mha_a", "mha_at", "ca")
 AUDIO_ONLY_TAGS = ("audio_bre", "audio_bre_att")
-TEXT_MODES = ("none", "sparse", "dense")
 _SIDECAR_KEYS = ("variant", "text_mode", "audio_dim", "text_dim", "hidden", "head_hidden",
                  "labels", "features")
 
@@ -149,47 +148,38 @@ class IntentClassifier:
         return ad._node(probs, (*parts, W1, b1, W2, b2), backward), logits
 
     def forward(self, audio, audio_mask=None, text=None, text_mask=None) -> tuple[Tensor, dict]:
-        a, am, single = _as_batch(audio, audio_mask)
+        a, am, cut_a, single = _adapt(audio, audio_mask)
         if self.variant.uses_text:
             if text is None:
                 raise ModalityError(f"{self.variant.tag} requires a text input")
-            t, tm, _ = _as_batch(text, text_mask)
+            t, tm, cut_t, _ = _adapt(text, text_mask)
             if t.shape[0] != a.shape[0]:
                 raise ShapeError(f"audio batch {a.shape[0]} != text batch {t.shape[0]}")
-            t, tm, cut_t = _used_columns(t, tm)
-        a, am, cut_a = _used_columns(a, am)
         aux: dict[str, Array] = {}
         tag = self.variant.tag
 
         H_a, f_a = bre_forward(a, self.audio_bre, am)
+        if self.variant.uses_text:
+            H_t, f_t = bre_forward(t, self.text_bre, tm)
         if tag == "audio_bre":
             parts = [f_a]
         else:
-            w_a, r_a = self_attentive_pool(H_a, am, self.audio_att)
-            aux["audio_self"] = w_a
+            aux["audio_self"], r_a = self_attentive_pool(H_a, am, self.audio_att)
             if tag == "audio_bre_att":
                 parts = [r_a]
             elif tag == "para_bre_att":
-                H_t, _ = bre_forward(t, self.text_bre, tm)
-                w_t, r_t = self_attentive_pool(H_t, tm, self.text_att)
-                aux["text_self"] = w_t
+                aux["text_self"], r_t = self_attentive_pool(H_t, tm, self.text_att)
                 parts = [r_a, r_t]
             elif tag in ("mha_a", "mha_at"):
-                H_t, _ = bre_forward(t, self.text_bre, tm)
-                w_t1, r_t1 = attend(H_t, tm, self.text_xatt, r_a)
-                aux["text_cross"] = w_t1
+                aux["text_cross"], r_t1 = attend(H_t, tm, self.text_xatt, r_a)
                 if tag == "mha_a":
                     parts = [r_a, r_t1]
                 else:
-                    w_a2, r_a2 = attend(H_a, am, self.audio_xatt, r_t1)
-                    aux["audio_cross"] = w_a2
+                    aux["audio_cross"], r_a2 = attend(H_a, am, self.audio_xatt, r_t1)
                     parts = [r_t1, r_a2]
             else:  # ca
-                H_t, f_t = bre_forward(t, self.text_bre, tm)
-                w_tp, r_tp = attend(H_t, tm, self.text_xatt, r_a)
-                w_ap, r_ap = attend(H_a, am, self.audio_xatt, f_t)
-                aux["text_cross"] = w_tp
-                aux["audio_cross"] = w_ap
+                aux["text_cross"], r_tp = attend(H_t, tm, self.text_xatt, r_a)
+                aux["audio_cross"], r_ap = attend(H_a, am, self.audio_xatt, f_t)
                 parts = [r_ap, r_tp]
 
         for key, w in aux.items():  # each map back at its input's width, zeros in front
@@ -239,31 +229,29 @@ class IntentClassifier:
             p.grad = None
 
 
-def _as_batch(x, mask) -> tuple[Array, Array, bool]:
-    """(data, mask, single): a single utterance becomes a batch of 1."""
-    if isinstance(x, FeatureSequence):
-        return x.data[None], x.mask[None], True
-    data = np.asarray(x, dtype=np.float64)
-    if mask is None:
-        raise ShapeError("array inputs need an explicit mask")
-    m = np.asarray(mask, dtype=np.float64)
-    if data.ndim == 2:
-        return data[None], m.reshape(1, -1), True
-    return data, m, False
+def _adapt(x, mask) -> tuple[Array, Array, int, bool]:
+    """(data, mask, cut, single): one modality as a batch from its first used column.
 
-
-def _used_columns(data: Array, mask: Array) -> tuple[Array, Array, int]:
-    """(data, mask, cut): the batch from the first column that any row uses.
-
-    The cut columns hold only padding, which no output depends on, so no
+    A single utterance becomes a batch of 1. The columns before the first
+    that any row uses hold only padding, which no output depends on, so no
     encoder or attention runs over them. Shapes that disagree, or a mask
     that uses no column, pass uncut, and bre_forward rejects them.
     """
-    used = mask.any(axis=0) if data.ndim == 3 and mask.shape == data.shape[:2] else None
+    if isinstance(x, FeatureSequence):
+        data, m, single = x.data[None], x.mask[None], True
+    else:
+        data = np.asarray(x, dtype=np.float64)
+        if mask is None:
+            raise ShapeError("array inputs need an explicit mask")
+        m = np.asarray(mask, dtype=np.float64)
+        single = data.ndim == 2
+        if single:
+            data, m = data[None], m.reshape(1, -1)
+    used = m.any(axis=0) if data.ndim == 3 and m.shape == data.shape[:2] else None
     if used is None or not used.any():
-        return data, mask, 0
+        return data, m, 0, single
     cut = int(used.argmax())
-    return data[:, cut:], mask[:, cut:], cut
+    return data[:, cut:], m[:, cut:], cut, single
 
 
 # ----------------------------------------------------------- serialization

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hangul
+from .config import check_fields
 from .corpus import IntentLabel, UtteranceRecord, write_manifest
 from .errors import ConfigError
 from .features import AudioSignal, write_wav
@@ -68,12 +69,9 @@ class SyntheticSpec:
     script_types: tuple[str, ...] = DEFAULT_TYPE_CYCLE
 
     def __post_init__(self):
-        if self.n_scripts < 1:
-            raise ConfigError(f"n_scripts must be >= 1, got {self.n_scripts}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 2 <= self.variants_per_script <= 4:
-            raise ConfigError(f"variants_per_script must be 2..4, got {self.variants_per_script}")
+        check_fields(self, {"n_scripts": (lambda v: v >= 1, ">= 1"),
+                            "variants_per_script": (lambda v: 2 <= v <= 4, "2..4"),
+                            "seed": (lambda v: v >= 0, ">= 0")})
         unknown = [t for t in self.script_types if t not in SCRIPT_TYPES]
         if unknown:
             raise ConfigError(f"unknown script types {unknown}")

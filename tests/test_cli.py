@@ -205,6 +205,24 @@ def test_train_writes_artifacts(corpus, trained):
     assert sum(int(x) for row in conf_rows[1:] for x in row.split(",")[1:]) == 6
 
 
+def test_train_into_a_reused_out_keeps_only_its_own_epochs(corpus, tmp_path):
+    out, ckpts = tmp_path / "run", tmp_path / "run" / "checkpoints"
+
+    def train(epochs):
+        assert cli.main(["train", "--config", str(corpus / "cfg.json"),
+                         "--manifest", manifest(corpus), "--cache-dir", str(corpus / "cache"),
+                         "--out", str(out), "--variant", "audio_bre", "--seed", "3",
+                         "--epochs", epochs]) == 0
+
+    train("7")
+    assert len(os.listdir(ckpts)) == 5
+    (ckpts / "notes.txt").write_text("mine")
+    (ckpts / "epoch_004.ambi.bak").write_text("mine")
+    train("2")
+    assert sorted(os.listdir(ckpts)) == [
+        "epoch_001.ambi", "epoch_002.ambi", "epoch_004.ambi.bak", "notes.txt"]
+
+
 def test_train_same_seed_reproduces_log(corpus, trained):
     out2 = corpus / "run2"
     assert cli.main(["train", "--config", str(corpus / "cfg.json"),

@@ -102,6 +102,10 @@ def test_manifest_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ManifestError, match="unknown columns"):
         cp.load_manifest(path)
 
+    path.write_text(f"{head}\tlabel\nr1\ta.wav\thi\tS\tm\tYN\n")
+    with pytest.raises(ManifestError, match=r"line 1: duplicate columns \['label'\]"):
+        cp.load_manifest(path)
+
     path.write_text("")
     with pytest.raises(ManifestError, match="empty manifest"):
         cp.load_manifest(path)
@@ -128,6 +132,11 @@ def test_embedding_table_round_trip(tmp_path):
     assert set(loaded.vectors) == {"가", "나"}
     np.testing.assert_array_equal(loaded.vectors["가"], table.vectors["가"])
     np.testing.assert_array_equal(loaded.vectors["나"], table.vectors["나"])
+    for token in (" ", "a b", "\u2028"):  # the loader splits lines and fields on them
+        spaced = tmp_path / "spaced.txt"
+        with pytest.raises(ConfigError, match="whitespace"):
+            cp.save_embedding_table(spaced, EmbeddingTable({"가": np.ones(2), token: np.ones(2)}, 2))
+        assert not spaced.exists()
 
 
 def test_embedding_table_errors_carry_line_numbers(tmp_path):
@@ -159,6 +168,10 @@ def test_embedding_table_errors_carry_line_numbers(tmp_path):
 
     path.write_text("3 2\n가 0.5 1.0\n")
     with pytest.raises(ManifestError, match="promised 3"):
+        cp.load_embedding_table(path)
+
+    path.write_text("1 2\n가 0.1 0.2\n나 0.3 0.4\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match="line 3: more entries than the header's count 1"):
         cp.load_embedding_table(path)
 
     path.write_text("2 3\n가 nan 0 1\n나 0 inf 1\n", encoding="utf-8")
@@ -334,6 +347,10 @@ def test_spec_validation():
         SyntheticSpec(script_types=("ynwh", "mystery"))
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         SyntheticSpec(seed=-1)
+    for key, value in (("n_scripts", 2.5), ("variants_per_script", 2.0), ("seed", 1.5),
+                       ("n_scripts", True)):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value!r}"):
+            SyntheticSpec(**{key: value})
 
 
 def test_contour_collision_on_one_script_is_rejected(tmp_path, monkeypatch):
