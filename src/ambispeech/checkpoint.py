@@ -1,11 +1,16 @@
-"""Flat binary parameter checkpoints.
+"""The package's file edge, and flat binary parameter checkpoints.
 
-Layout: magic b"AMBI1", u32 entry count, then per entry a u16 path length,
-the UTF-8 path, u8 ndim, u32 per dimension, and the float64 payload.
-All integers and floats are little-endian. Every file the package persists
-(checkpoints, model sidecars, feature-cache records, and the logs, reports
-and CSVs the CLI writes) goes through write_atomic, so readers never observe
-a partial file.
+Every file the package reads goes through read_bytes or read_text, which
+turn any failure into one "cannot read <what> <path>: ..." error: manifests,
+embedding tables, WAVs (read whole, then parsed in memory), configs,
+checkpoints, model sidecars and feature-cache records. Every file it writes
+goes through write_atomic, so readers never observe a partial file:
+checkpoints, model sidecars, feature-cache records, the manifests, WAVs and
+embedding tables of a corpus, and the logs, reports and CSVs the CLI writes.
+
+Checkpoint layout: magic b"AMBI1", u32 entry count, then per entry a u16
+path length, the UTF-8 path, u8 ndim, u32 per dimension, and the float64
+payload. All integers and floats are little-endian.
 """
 
 from __future__ import annotations
@@ -33,6 +38,24 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
         raise
 
 
+def read_bytes(path: str | os.PathLike, what: str, error: type[Exception] = DataError) -> bytes:
+    """A file's bytes; an OSError raises error("cannot read <what> <path>: ...")."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_text(path: str | os.PathLike, what: str, error: type[Exception] = DataError) -> str:
+    """A UTF-8 file's text, a leading BOM skipped; bad UTF-8 raises as read_bytes does."""
+    raw = read_bytes(path, what, error)
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 def save_params(path: str | os.PathLike, params: dict[str, np.ndarray]) -> None:
     """Write a name->array mapping; insertion order is preserved."""
     blob = bytearray()
@@ -54,11 +77,7 @@ def save_params(path: str | os.PathLike, params: dict[str, np.ndarray]) -> None:
 
 def load_params(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """Read a checkpoint back into {path: float64 array}; a non-finite entry raises DataError."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    raw = read_bytes(path, "checkpoint")
     if raw[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path} is not a parameter checkpoint (bad magic)")
     off = len(MAGIC)

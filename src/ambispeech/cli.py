@@ -61,11 +61,9 @@ def _load_config(args) -> dict:
     """
     cfg = {}
     if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read config {args.config}: {exc}") from exc
+        raw = ck.read_bytes(args.config, "config")
+        try:  # not read_text, which would skip a BOM that JSON does not allow
+            cfg = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
     cfg = read_section("top-level", cfg, _TOP_KEYS)
@@ -183,9 +181,9 @@ def _write_lines(path: str, lines: list[str]) -> None:
     ck.write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
-def _checkpoint_table(args, meta: dict) -> ft.EmbeddingTable:
-    """The embedding table of a dense checkpoint: --embedding, else the sidecar's path."""
-    path = args.embedding or meta.get("embedding_path")
+def _checkpoint_table(path: str | None, meta: dict) -> ft.EmbeddingTable:
+    """The embedding table of a dense checkpoint: path, else the sidecar's embedding_path."""
+    path = path or meta.get("embedding_path")
     if path is None:
         raise ConfigError("dense checkpoint without an embedding table path")
     return cp.load_embedding_table(path)
@@ -198,7 +196,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs a manifest (flag or config)")
     records = cp.load_manifest(paths.manifest)
     base_dir = os.path.dirname(os.path.abspath(paths.manifest))
-    table = _checkpoint_table(args, meta) if meta["text_mode"] == "dense" else None
+    table = _checkpoint_table(paths.embedding, meta) if meta["text_mode"] == "dense" else None
     examples, _ = cp.featurize_corpus(records, fcfg, meta["text_mode"], table,
                                       use_alt_transcript=args.use_alt_transcript,
                                       cache_dir=paths.cache_dir, base_dir=base_dir)
@@ -217,7 +215,7 @@ def cmd_predict(args) -> int:
     audio_fs = ft.audio_features(signal, fcfg)
     if meta["text_mode"] != "none" and args.transcript is None:
         raise ConfigError(f"variant {meta['variant']} needs --transcript")
-    table = _checkpoint_table(args, meta) if meta["text_mode"] == "dense" else None
+    table = _checkpoint_table(args.embedding, meta) if meta["text_mode"] == "dense" else None
     text_fs = cp.text_features(args.transcript, meta["text_mode"], table, fcfg.text_t_max)
     with tr._no_tape(model):
         probs, aux = model.forward(audio_fs, text=text_fs)
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", dest="paths.manifest", metavar="MANIFEST")
     p.add_argument("--config", default=None)
-    p.add_argument("--embedding", default=None)
+    p.add_argument("--embedding", dest="paths.embedding", metavar="EMBEDDING")
     p.add_argument("--cache-dir", dest="paths.cache_dir", metavar="CACHE_DIR")
     p.add_argument("--use-alt-transcript", action="store_true")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")

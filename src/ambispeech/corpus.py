@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checkpoint
 from . import features as ft
 from .errors import ConfigError, EmptyInputError, LabelError, ManifestError
 from .features import EmbeddingTable, FeatureConfig, FeatureSequence
@@ -62,11 +63,7 @@ _OPTIONAL_COLUMNS = ("alt_transcript",)
 def load_manifest(path) -> list[UtteranceRecord]:
     """Read a TSV manifest with header id/audio/transcript/label/speaker
     and an optional alt_transcript column; a leading UTF-8 BOM is skipped."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    lines = checkpoint.read_text(path, "manifest", ManifestError).splitlines()
     if not lines:
         raise ManifestError(f"{path} line 1: empty manifest")
     header = lines[0].split("\t")
@@ -113,7 +110,11 @@ def load_manifest(path) -> list[UtteranceRecord]:
 
 
 def write_manifest(path, records: list[UtteranceRecord]) -> None:
-    """Inverse of load_manifest; emits alt_transcript only when any record has one."""
+    """Inverse of load_manifest; emits alt_transcript only when any record has one.
+
+    A cell holding a tab or a line break (anything str.splitlines breaks on)
+    raises ConfigError before anything is written: the loader splits on them.
+    """
     with_alt = any(r.alt_transcript is not None for r in records)
     cols = _COLUMNS + (_OPTIONAL_COLUMNS if with_alt else ())
     out = ["\t".join(cols)]
@@ -121,9 +122,11 @@ def write_manifest(path, records: list[UtteranceRecord]) -> None:
         cells = [r.id, r.audio, r.transcript, r.label.name, r.speaker]
         if with_alt:
             cells.append(r.alt_transcript or "")
+        for col, cell in zip(cols, cells):
+            if "\t" in cell or "".join(cell.splitlines()) != cell:
+                raise ConfigError(f"record {r.id!r}: {col} holds a tab or line break")
         out.append("\t".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    checkpoint.write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))
 
 
 # ----------------------------------------------------------- embedding table
@@ -132,11 +135,7 @@ def write_manifest(path, records: list[UtteranceRecord]) -> None:
 def load_embedding_table(path) -> EmbeddingTable:
     """Parse the word-vector text format: header "count dim", then
     one "token v1 ... v_dim" line per entry; a leading UTF-8 BOM is skipped."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"cannot read embedding table {path}: {exc}") from exc
+    lines = checkpoint.read_text(path, "embedding table", ManifestError).splitlines()
     if not lines:
         raise ManifestError(f"{path} line 1: empty table file")
     head = lines[0].split()
@@ -169,15 +168,18 @@ def load_embedding_table(path) -> EmbeddingTable:
 
 
 def save_embedding_table(path, table: EmbeddingTable) -> None:
-    """Inverse of load_embedding_table, whose lines split on spaces: a token holds no whitespace."""
+    """Inverse of load_embedding_table, whose lines split on spaces: a token holds no
+    whitespace, and, as the loader requires, every vector entry is finite."""
     spaced = [t for t in table.vectors if any(ch.isspace() for ch in t)]
     if spaced:
         raise ConfigError(f"table tokens {spaced[:3]} hold whitespace, which the format splits on")
+    non_finite = [t for t, vec in table.vectors.items() if not np.isfinite(vec).all()]
+    if non_finite:
+        raise ConfigError(f"table tokens {non_finite[:3]} hold a non-finite vector entry")
     out = [f"{len(table.vectors)} {table.dim}"]
     for token, vec in table.vectors.items():
         out.append(token + " " + " ".join(repr(float(v)) for v in vec))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    checkpoint.write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))
 
 
 # ------------------------------------------------------------------ pipeline

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import os
 import struct
 import wave
@@ -18,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import hangul
-from .checkpoint import write_atomic
+from . import checkpoint, hangul
 from .config import check_fields
 from .errors import ConfigError, DataError, EmptyInputError, ShapeError
 
@@ -298,11 +298,11 @@ def _encode_chars(text: str, row, t_max: int | None) -> FeatureSequence:
 def read_wav(path) -> AudioSignal:
     """Load a 16-bit PCM WAV as mono float64 in [-1, 1]; channels are averaged."""
     try:
-        with wave.open(os.fspath(path), "rb") as wf:
+        with wave.open(io.BytesIO(checkpoint.read_bytes(path, "wav")), "rb") as wf:
             rate, width = wf.getframerate(), wf.getsampwidth()
             channels, n_frames = wf.getnchannels(), wf.getnframes()
             raw = wf.readframes(n_frames)
-    except (OSError, EOFError, wave.Error) as exc:
+    except (EOFError, wave.Error) as exc:
         raise DataError(f"cannot read wav {path}: {str(exc) or 'file ends in its header'}") from exc
     if width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got {8 * width}-bit samples")
@@ -323,11 +323,13 @@ def write_wav(path, signal: AudioSignal) -> None:
     half a quantization step (full-scale +1.0 clips to 32767).
     """
     q = np.round(np.clip(signal.samples, -1.0, 1.0) * 32768.0)
-    with wave.open(os.fspath(path), "wb") as wf:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(signal.sample_rate)
         wf.writeframes(np.clip(q, -32768, 32767).astype("<i2").tobytes())
+    checkpoint.write_atomic(path, buf.getvalue())
 
 
 # ------------------------------------------------------------ cache records
@@ -342,16 +344,12 @@ def save_feature_sequence(path, fs: FeatureSequence) -> None:
     blob += struct.pack("<II", fs.t_max, fs.dim)
     blob += np.ascontiguousarray(fs.data, dtype="<f8").tobytes()
     blob += fs.mask.astype(np.uint8).tobytes()
-    write_atomic(path, bytes(blob))
+    checkpoint.write_atomic(path, bytes(blob))
 
 
 def load_feature_sequence(path) -> FeatureSequence:
     """Read a cache record; any unreadable, invalid or non-finite record raises DataError."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read feature record {path}: {exc}") from exc
+    raw = checkpoint.read_bytes(path, "feature record")
     if raw[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
         raise DataError(f"{path} is not a feature record (bad magic)")
     off = len(_CACHE_MAGIC)
@@ -384,8 +382,7 @@ def frame_matrix(path, cfg: FeatureConfig, cache_dir=None) -> tuple[Array, bool]
     if cache_dir is None:
         return audio_frame_matrix(read_wav(path), cfg), False
     tag = f"{_CACHE_VERSION}|{cfg.sample_rate}|{cfg.n_fft}|{cfg.hop}|{cfg.n_mels}|{cfg.log_mel}|"
-    with open(path, "rb") as fh:
-        key = hashlib.sha256(tag.encode() + fh.read()).hexdigest()
+    key = hashlib.sha256(tag.encode() + checkpoint.read_bytes(path, "wav")).hexdigest()
     entry = os.path.join(cache_dir, key + ".ambf")
     if os.path.exists(entry):
         try:

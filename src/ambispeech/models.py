@@ -279,10 +279,7 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
     """Rebuild a model from a checkpoint and its sidecar."""
     sidecar = f"{path}.json"
     try:
-        with open(sidecar, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read sidecar {sidecar}: {exc}") from exc
+        meta = json.loads(checkpoint.read_text(sidecar, "sidecar"))
     except json.JSONDecodeError as exc:
         raise DataError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
@@ -290,12 +287,9 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
     for key in _SIDECAR_KEYS:
         if key not in meta:
             raise DataError(f"sidecar {sidecar} lacks the key {key!r}")
-    for key in ("variant", "text_mode"):
-        if not isinstance(meta[key], str):
-            raise DataError(f"sidecar {sidecar}: {key!r} must be a string, got {meta[key]!r}")
     if meta["labels"] != list(INTENT_LABELS):
         raise DataError(f"sidecar {sidecar} carries an unknown label order")
-    try:  # well-typed values that do not fit together are corrupt state, not config
+    try:  # values the constructors reject are corrupt state here, not config
         variant = ModelVariant(meta["variant"], meta["text_mode"])
         model = IntentClassifier(variant, meta["audio_dim"], meta["text_dim"],
                                  hidden=meta["hidden"], head_hidden=meta["head_hidden"])

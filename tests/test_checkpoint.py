@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ambispeech
 from ambispeech.checkpoint import MAGIC, load_params, save_params
 from ambispeech.errors import DataError
 
@@ -101,3 +105,13 @@ def test_empty_mapping_round_trips(tmp_path):
     path = tmp_path / "empty.ambi"
     save_params(path, {})
     assert load_params(path) == {}
+
+
+def test_only_the_checkpoint_module_calls_the_builtin_open():
+    package = Path(ambispeech.__file__).parent
+    callers = {
+        src.name for src in package.glob("*.py")
+        for node in ast.walk(ast.parse(src.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "open"}
+    assert callers == {"checkpoint.py"}

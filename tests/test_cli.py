@@ -321,6 +321,10 @@ def test_train_config_errors(corpus, tmp_path, capsys):
         cfg.write_text(json.dumps(config), encoding="utf-8")
         assert cli.main(no_cache + ["--config", str(cfg)]) == 2, config
         assert capsys.readouterr().err == f"error: {says}\n"
+    cfg.write_bytes(b"\xef\xbb\xbf{}")  # unlike a manifest's, a config's BOM is not skipped
+    assert cli.main(no_cache + ["--variant", "audio_bre", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: config {cfg} is not valid JSON: Unexpected UTF-8 "
+                                       "BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n")
     assert cli.main(base + ["--variant", "audio_bre",
                             "--config", str(tmp_path / "ghost.json")]) == 1
 
@@ -368,14 +372,24 @@ def test_every_file_train_and_eval_write_goes_through_write_atomic(corpus, tmp_p
         real(path, data)
 
     monkeypatch.setattr(ck, "write_atomic", spy)
-    out, report = tmp_path / "run", tmp_path / "eval.txt"
-    assert train_one_epoch(corpus, out) == 0
+    synth, out, cache = tmp_path / "synth", tmp_path / "run", tmp_path / "cache"
+    report, table = tmp_path / "eval.txt", tmp_path / "table.txt"
+    assert cli.main(["synth", "--out", str(synth), "--n-scripts", "2", "--seed", "2"]) == 0
+    cp.save_embedding_table(table, ft.EmbeddingTable({"가": np.ones(2)}, 2))
+    assert cli.main(["train", "--config", str(corpus / "cfg.json"), "--manifest",
+                     manifest(corpus), "--cache-dir", str(cache), "--out", str(out),
+                     "--variant", "audio_bre", "--epochs", "1"]) == 0
     assert cli.main(["eval", "--checkpoint", str(out / "selected.ambi"), "--manifest",
-                     manifest(corpus), "--cache-dir", str(corpus / "cache"),
-                     "--out", str(report)]) == 0
-    on_disk = {os.path.abspath(os.path.join(d, f)) for d, _, fs in os.walk(out) for f in fs}
-    assert len(on_disk) == 7  # log, report, two CSVs, model, sidecar, one epoch checkpoint
-    assert sorted(written) == sorted(on_disk | {str(report)})
+                     manifest(corpus), "--cache-dir", str(cache), "--out", str(report)]) == 0
+
+    def on_disk(root):
+        return {os.path.abspath(os.path.join(d, f)) for d, _, fs in os.walk(root) for f in fs}
+
+    assert len(on_disk(out)) == 7  # log, report, two CSVs, model, sidecar, one epoch checkpoint
+    assert len(on_disk(synth)) == 5  # the manifest and four WAVs
+    assert len(on_disk(cache)) == 12  # one frame-cache entry per WAV of the corpus
+    assert sorted(written) == sorted(on_disk(out) | on_disk(synth) | on_disk(cache)
+                                     | {str(report), str(table)})
 
 
 def test_readme_config_passes_the_config_checks(tmp_path, monkeypatch):
@@ -455,8 +469,8 @@ _MISSING = object()
     ("head_hidden", True, "'head_hidden'"),
     ("audio_dim", 12.5, "'audio_dim'"),
     ("text_dim", "64", "'text_dim'"),
-    ("variant", 3, "'variant'"),
-    ("text_mode", None, "'text_mode'"),
+    ("variant", 3, "variant must be a string, got 3"),
+    ("text_mode", None, "text_mode must be a string, got None"),
     ("variant", "banana", "unknown variant 'banana'"),
     ("text_mode", "dense2", "unknown text mode 'dense2'"),
     ("text_dim", None, "mha_a needs text_dim"),
@@ -630,6 +644,51 @@ def test_dense_checkpoint_needs_an_embedding_table(corpus, trained, tmp_path, ca
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: dense checkpoint without an embedding table path\n"
+
+
+def test_eval_reads_the_embedding_path_from_flag_then_config_then_sidecar(corpus, trained,
+                                                                         tmp_path, capsys):
+    ckpt, table, cfg = tmp_path / "d.ambi", tmp_path / "table.txt", tmp_path / "cfg.json"
+    ckpt.write_bytes((trained / "selected.ambi").read_bytes())
+    meta = json.loads((trained / "selected.ambi.json").read_text(encoding="utf-8"))
+    cp.save_embedding_table(table, ft.EmbeddingTable({"가": np.ones(meta["text_dim"])},
+                                                     meta["text_dim"]))
+    ghost = str(tmp_path / "ghost.txt")
+    reports = []
+    for sidecar_path, config_path, flag in ((None, str(table), []),
+                                            (ghost, str(table), []),
+                                            (ghost, ghost, ["--embedding", str(table)])):
+        (tmp_path / "d.ambi.json").write_text(json.dumps(
+            {**meta, "text_mode": "dense", "embedding_path": sidecar_path}), encoding="utf-8")
+        cfg.write_text(json.dumps({"paths": {"embedding": config_path}}), encoding="utf-8")
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
+                         "--cache-dir", str(corpus / "cache"), "--config", str(cfg)]
+                        + flag) == 0, (sidecar_path, config_path, flag)
+        reports.append(capsys.readouterr().out)
+    assert reports[0] and reports.count(reports[0]) == 3
+
+
+@pytest.mark.parametrize("command, cached", [("featurize", True), ("train", True),
+                                             ("train", False), ("eval", True), ("eval", False)])
+def test_a_missing_wav_is_the_same_line_everywhere(corpus, trained, tmp_path, capsys,
+                                                   command, cached):
+    bad = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(bad), "--n-scripts", "2", "--seed", "2"]) == 0
+    wav = bad / "wav" / "syn0000a.wav"
+    wav.unlink()
+    capsys.readouterr()
+    argv = {
+        "featurize": ["featurize"],
+        "train": ["train", "--config", str(corpus / "cfg.json"), "--out", str(tmp_path / "run"),
+                  "--variant", "audio_bre", "--epochs", "1"],
+        "eval": ["eval", "--checkpoint", str(trained / "selected.ambi")],
+    }[command] + ["--manifest", str(bad / "manifest.tsv")]
+    if cached:
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    assert cli.main(argv) == 1
+    says = f"cannot read wav {wav}: [Errno 2] No such file or directory: '{wav}'\n"
+    prefix = "FAILED syn0000a: " if command == "featurize" else "error: "
+    assert capsys.readouterr().err == prefix + says
 
 
 # ------------------------------------------------------------- entry points

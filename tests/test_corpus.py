@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def test_manifest_round_trip(tmp_path):
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header.split("\t") == ["id", "audio", "transcript", "label", "speaker",
                                   "alt_transcript"]
+    for field, cell in (("id", "r\t3"), ("audio", "a\n.wav"), ("transcript", "가\t나"),
+                        ("transcript", "가\r나"), ("speaker", "m\u2028"),
+                        ("alt_transcript", "가\x1c나")):  # the loader splits on all of them
+        broken = tmp_path / "broken.tsv"
+        record = cp.UtteranceRecord(**{"id": "r3", "audio": "a.wav", "transcript": "가",
+                                       "label": cp.IntentLabel.S, "speaker": "m", field: cell})
+        with pytest.raises(ConfigError, match=re.escape(f"record {record.id!r}: {field} holds")):
+            cp.write_manifest(broken, records + [record])
+        assert not broken.exists()
 
 
 def test_manifest_omits_alt_column_when_unused(tmp_path):
@@ -137,6 +147,31 @@ def test_embedding_table_round_trip(tmp_path):
         with pytest.raises(ConfigError, match="whitespace"):
             cp.save_embedding_table(spaced, EmbeddingTable({"가": np.ones(2), token: np.ones(2)}, 2))
         assert not spaced.exists()
+    for bad in (np.nan, np.inf, -np.inf):  # the loader rejects a non-finite entry
+        with pytest.raises(ConfigError, match=r"\['나'\] hold a non-finite vector entry"):
+            cp.save_embedding_table(path, EmbeddingTable({"가": np.ones(2),
+                                                          "나": np.array([bad, 1.0])}, 2))
+        assert cp.load_embedding_table(path).vectors.keys() == {"가", "나"}
+
+
+def test_a_failed_replace_keeps_the_old_manifest_table_and_wav(tmp_path, monkeypatch):
+    manifest, table, wav = tmp_path / "m.tsv", tmp_path / "e.txt", tmp_path / "a.wav"
+    cp.write_manifest(manifest, records_for_tests())
+    cp.save_embedding_table(table, EmbeddingTable({"가": np.ones(2)}, 2))
+    write_wav(wav, ft.AudioSignal(np.full(160, 0.5), 16000))
+    before = {p: p.read_bytes() for p in (manifest, table, wav)}
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for write in (lambda: cp.write_manifest(manifest, records_for_tests()[:1]),
+                  lambda: cp.save_embedding_table(table, EmbeddingTable({"나": np.zeros(2)}, 2)),
+                  lambda: write_wav(wav, ft.AudioSignal(np.zeros(80), 16000))):
+        with pytest.raises(OSError, match="replace refused"):
+            write()
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "e.txt", "m.tsv"]
 
 
 def test_embedding_table_errors_carry_line_numbers(tmp_path):

@@ -366,6 +366,9 @@ def test_save_load_model_round_trip(tmp_path):
     p1, _ = m.forward(audio, text=text)
     p2, _ = m2.forward(audio, text=text)
     np.testing.assert_array_equal(p1.data, p2.data)
+    sidecar = tmp_path / "m.ambi.json"  # a leading BOM is skipped, as in every text file read
+    sidecar.write_bytes(b"\xef\xbb\xbf" + sidecar.read_bytes())
+    assert md.load_model(path)[2] == meta
 
 
 def test_load_model_rejects_missing_or_bad_sidecar(tmp_path):
