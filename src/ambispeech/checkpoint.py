@@ -9,8 +9,9 @@ checkpoints, model sidecars, feature-cache records, the manifests, WAVs and
 embedding tables of a corpus, and the logs, reports and CSVs the CLI writes.
 
 Checkpoint layout: magic b"AMBI1", u32 entry count, then per entry a u16
-path length, the UTF-8 path, u8 ndim, u32 per dimension, and the float64
-payload. All integers and floats are little-endian.
+path length, the UTF-8 path, u8 ndim (at most MAX_NDIM), u32 per
+dimension, and the float64 payload. All integers and floats are
+little-endian.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"AMBI1"
+MAX_NDIM = 32  # load_params' cap, well under numpy's 64; no parameter has more than 2
 
 
 def write_atomic(path: str | os.PathLike, data: bytes) -> None:
@@ -103,6 +105,8 @@ def load_params(path: str | os.PathLike) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: a parameter name at byte {off} is not UTF-8") from exc
         off += name_len
         (ndim,) = take("<B")
+        if ndim > MAX_NDIM:
+            raise DataError(f"{path}: parameter {name} has {ndim} dimensions (at most {MAX_NDIM})")
         shape = tuple(take(f"<{ndim}I")) if ndim else ()
         n = int(np.prod(shape)) if shape else 1
         nbytes = n * 8

@@ -112,13 +112,18 @@ def load_manifest(path) -> list[UtteranceRecord]:
 def write_manifest(path, records: list[UtteranceRecord]) -> None:
     """Inverse of load_manifest; emits alt_transcript only when any record has one.
 
-    A cell holding a tab or a line break (anything str.splitlines breaks on)
-    raises ConfigError before anything is written: the loader splits on them.
+    A cell holding a tab or a line break (anything str.splitlines breaks on),
+    or a repeated id, raises ConfigError before anything is written: the
+    loader rejects both.
     """
     with_alt = any(r.alt_transcript is not None for r in records)
     cols = _COLUMNS + (_OPTIONAL_COLUMNS if with_alt else ())
     out = ["\t".join(cols)]
+    seen: set[str] = set()
     for r in records:
+        if r.id in seen:
+            raise ConfigError(f"duplicate id {r.id!r}")
+        seen.add(r.id)
         cells = [r.id, r.audio, r.transcript, r.label.name, r.speaker]
         if with_alt:
             cells.append(r.alt_transcript or "")

@@ -297,12 +297,17 @@ def _encode_chars(text: str, row, t_max: int | None) -> FeatureSequence:
 
 def read_wav(path) -> AudioSignal:
     """Load a 16-bit PCM WAV as mono float64 in [-1, 1]; channels are averaged."""
+    return _parse_wav(checkpoint.read_bytes(path, "wav"), path)
+
+
+def _parse_wav(data: bytes, path) -> AudioSignal:
+    """read_wav's parser over a WAV file's bytes; any failure raises DataError."""
     try:
-        with wave.open(io.BytesIO(checkpoint.read_bytes(path, "wav")), "rb") as wf:
+        with wave.open(io.BytesIO(data), "rb") as wf:
             rate, width = wf.getframerate(), wf.getsampwidth()
             channels, n_frames = wf.getnchannels(), wf.getnframes()
             raw = wf.readframes(n_frames)
-    except (EOFError, wave.Error) as exc:
+    except Exception as exc:  # wave raises EOFError, wave.Error, RuntimeError, struct.error...
         raise DataError(f"cannot read wav {path}: {str(exc) or 'file ends in its header'}") from exc
     if width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got {8 * width}-bit samples")
@@ -376,20 +381,22 @@ def frame_matrix(path, cfg: FeatureConfig, cache_dir=None) -> tuple[Array, bool]
     An entry is named by a hash of the WAV's bytes and of the config fields
     the frames depend on, so the library and the CLI share entries. It holds
     the unaligned matrix (all-ones mask), so one entry serves any t_max. A
-    corrupt entry is recomputed and overwritten. cache_dir must exist;
+    corrupt entry is recomputed and overwritten. The WAV is read once: a
+    miss parses the bytes that named the entry. cache_dir must exist;
     without one the frames are computed and nothing is stored.
     """
     if cache_dir is None:
         return audio_frame_matrix(read_wav(path), cfg), False
     tag = f"{_CACHE_VERSION}|{cfg.sample_rate}|{cfg.n_fft}|{cfg.hop}|{cfg.n_mels}|{cfg.log_mel}|"
-    key = hashlib.sha256(tag.encode() + checkpoint.read_bytes(path, "wav")).hexdigest()
+    data = checkpoint.read_bytes(path, "wav")
+    key = hashlib.sha256(tag.encode() + data).hexdigest()
     entry = os.path.join(cache_dir, key + ".ambf")
     if os.path.exists(entry):
         try:
             return load_feature_sequence(entry).valid_rows(), True
         except DataError:
             pass  # a corrupt entry is recomputed and overwritten below
-    mat = audio_frame_matrix(read_wav(path), cfg)
+    mat = audio_frame_matrix(_parse_wav(data, path), cfg)
     save_feature_sequence(entry, end_align(mat))
     return mat, False
 

@@ -19,6 +19,7 @@ Array = np.ndarray
 N_CLASSES = len(INTENT_LABELS)
 TOP_K = 5  # the pool size of select_checkpoint, and so the epochs train keeps a state for
 EVAL_BUCKET = 32  # the most records predict_batch runs at once
+EVAL_LENGTH_RATIO = 2  # predict_batch groups records within this factor of each other's length
 
 
 @dataclass(frozen=True)
@@ -211,26 +212,53 @@ def _no_tape(model: IntentClassifier):
             p.requires_grad = True
 
 
+def _eval_buckets(lengths: list[int]) -> list[Array]:
+    """Index buckets over `lengths`, in ascending length order; see predict_batch."""
+    order = np.argsort(lengths, kind="stable")
+    ordered = np.asarray(lengths)[order]
+
+    def class_start(top: int) -> int:  # the first record at least 1/EVAL_LENGTH_RATIO of top
+        return int(np.searchsorted(ordered, -(-ordered[top] // EVAL_LENGTH_RATIO)))
+
+    starts = [len(order)]
+    while starts[-1] > 0:
+        lo = class_start(starts[-1] - 1)
+        if starts[-1] - lo == 1 and lo > 0:  # a class of one joins the next shorter class
+            lo = class_start(lo - 1)
+        starts.append(lo)
+    if len(starts) > 2 and starts[-2] == 1:  # a shortest class of one joins the next longer
+        del starts[-2]
+    buckets = []
+    for lo, hi in zip(starts[:0:-1], starts[-2::-1]):
+        buckets += np.array_split(order[lo:hi], -(-(hi - lo) // EVAL_BUCKET))
+    return buckets
+
+
 def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Array, Array]:
     """(probs (N, 7), argmax predictions (N,)) without building gradients.
 
-    The records run in ceil(N / EVAL_BUCKET) buckets of near-equal size,
-    cut from a stable sort by audio valid length. _forward, which builds
-    every training batch too, stacks each bucket on its own, each modality
-    from the first column that the bucket's longest record uses, so the
-    input copies cover no column that only padding fills.
-    IntentClassifier.forward makes the same cut for any batch, so a single
-    utterance's forward matches predict_batch([it]) bit for bit. The cut
-    changes no bit for a bucket: masked steps freeze the LSTM state, and
-    masked_softmax sums left to right, so leading padding adds nothing.
-    No bucket holds one record unless N == 1 (a batch of one takes BLAS's
-    matrix-vector path, whose last bits differ). Probabilities come back
+    The records are stably sorted by audio valid length and split into
+    length classes: walking down from the longest, a class takes records
+    while each is at least 1/EVAL_LENGTH_RATIO as long as the class's
+    longest. A class of one joins the next shorter class (the next longer
+    one if it is the shortest), so no bucket holds one record unless N == 1
+    (a batch of one takes BLAS's matrix-vector path, whose last bits
+    differ). Each class runs in ceil(n / EVAL_BUCKET) buckets of near-equal
+    size, in ascending length order, so short records do not run through
+    a long one's padding. _forward, which builds every training batch too,
+    stacks each bucket on its own, each modality from the first column that
+    the bucket's longest record uses. IntentClassifier.forward makes the
+    same cut for any batch, so a single utterance's forward matches
+    predict_batch([it]) bit for bit. The cut changes no bit for a bucket:
+    masked steps freeze the LSTM state, and masked_softmax sums left to
+    right, so leading padding adds nothing. A record's last bits still
+    follow its bucket's composition: a row of an attention GEMM can differ
+    in the last ulp with the matrix's row count. Probabilities come back
     in input order.
     """
-    order = np.argsort([e.audio.valid_len for e in examples], kind="stable")
     probs = np.empty((len(examples), N_CLASSES))
     with _no_tape(model):
-        for idx in np.array_split(order, -(-len(examples) // EVAL_BUCKET)):
+        for idx in _eval_buckets([e.audio.valid_len for e in examples]):
             probs[idx] = _forward(model, [examples[i] for i in idx])[0].data
     return probs, probs.argmax(axis=1)
 
@@ -307,6 +335,8 @@ def train(model: IntentClassifier, train_set: list[Example], eval_set: list[Exam
     that set, and an epoch that leaves it never returns, so the pick holds
     its state. Each step's batch is stacked from its examples by _forward,
     as predict_batch stacks a bucket, so no copy of the whole set is kept.
+    The eval buckets group records within EVAL_LENGTH_RATIO (2x) of each
+    other's length; see predict_batch.
     batch_hook(epoch, batch_index, record_ids, loss) observes every
     optimization step. A non-finite loss or gradient norm raises
     NonFiniteError before the step. Deterministic for a fixed cfg.seed.

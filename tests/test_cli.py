@@ -572,6 +572,39 @@ def test_zero_sample_wav_is_a_data_error(corpus, trained, tmp_path, capsys, comm
     assert err.startswith("error: ") and err.count("\n") == 1 and "holds no samples" in err
 
 
+@pytest.mark.parametrize("command", ["featurize", "predict"])
+def test_a_wav_the_parser_rejects_is_one_error(corpus, trained, tmp_path, capsys, command):
+    bad = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(bad), "--n-scripts", "2", "--seed", "2"]) == 0
+    wav = sorted((bad / "wav").iterdir())[0]
+    raw = bytearray(wav.read_bytes())
+    raw[16] = 0xFF  # the fmt chunk's size: wave's chunk reader raises RuntimeError
+    wav.write_bytes(bytes(raw))
+    capsys.readouterr()
+    if command == "featurize":
+        argv = ["featurize", "--manifest", str(bad / "manifest.tsv"),
+                "--cache-dir", str(tmp_path / "cache")]
+    else:
+        argv = ["predict", "--checkpoint", str(trained / "selected.ambi"), "--wav", str(wav),
+                "--transcript", "가나 다라까"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    prefix = f"FAILED {wav.stem}: " if command == "featurize" else "error: "
+    assert err.startswith(prefix + f"cannot read wav {wav}: ") and err.count("\n") == 1, err
+
+
+def test_a_checkpoint_of_too_many_dimensions_is_one_error(corpus, tmp_path, capsys, trained):
+    ckpt = tmp_path / "m.ambi"
+    name = b"w"
+    ckpt.write_bytes(b"AMBI1" + struct.pack("<IH", 1, len(name)) + name
+                     + struct.pack("<B65I", 65, *[1] * 65) + struct.pack("<d", 0.5))
+    (tmp_path / "m.ambi.json").write_bytes((trained / "selected.ambi.json").read_bytes())
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
+                     "--cache-dir", str(corpus / "cache")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: parameter w has 65 dimensions (at most 32)\n"
+
+
 def test_eval_missing_checkpoint(corpus):
     assert cli.main(["eval", "--checkpoint", str(corpus / "ghost.ambi"),
                      "--manifest", manifest(corpus)]) == 1

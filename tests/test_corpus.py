@@ -64,6 +64,14 @@ def test_manifest_round_trip(tmp_path):
         assert not broken.exists()
 
 
+def test_write_manifest_rejects_a_repeated_id(tmp_path):
+    path = tmp_path / "m.tsv"
+    r1 = records_for_tests()[0]
+    with pytest.raises(ConfigError, match="duplicate id 'r1'"):
+        cp.write_manifest(path, [r1, records_for_tests()[1], r1])
+    assert not path.exists()
+
+
 def test_manifest_omits_alt_column_when_unused(tmp_path):
     path = tmp_path / "m.tsv"
     cp.write_manifest(path, records_for_tests()[:1])

@@ -382,6 +382,28 @@ def test_frame_matrix_cache_hit_is_bit_identical(tmp_path):
         np.testing.assert_array_equal(mat, fresh)
 
 
+def test_frame_matrix_reads_a_wav_once_per_cache_miss(tmp_path, monkeypatch):
+    wav = tmp_path / "a.wav"
+    ft.write_wav(wav, sine(440.0, seconds=0.05, amp=0.6))
+    cfg = ft.FeatureConfig(n_mels=8, n_fft=256, hop=128)
+    fresh, _ = ft.frame_matrix(wav, cfg)
+    read = []
+    real = ft.checkpoint.read_bytes
+
+    def spy(path, *args):
+        read.append(os.path.basename(path))
+        return real(path, *args)
+
+    monkeypatch.setattr(ft.checkpoint, "read_bytes", spy)
+    mat, reused = ft.frame_matrix(wav, cfg, tmp_path)
+    assert (read, reused) == (["a.wav"], False)
+    np.testing.assert_array_equal(mat, fresh)
+    os.remove(next(tmp_path.glob("*.ambf")))
+    read.clear()
+    ft.frame_matrix(wav, cfg, tmp_path)
+    assert read == ["a.wav"]
+
+
 def test_frame_cache_entry_names(tmp_path, monkeypatch):
     """sha256 over a tag of the fields the frames depend on, then the WAV's bytes."""
     wav = tmp_path / "a.wav"

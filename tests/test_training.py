@@ -538,10 +538,19 @@ def test_predict_batch_buckets_by_length_and_keeps_input_order(tag, text_mode, n
     probs, preds = tr.predict_batch(model, examples)
     assert np.array_equal(probs, whole.data)
     assert np.array_equal(preds, whole.data.argmax(axis=1))
-    # ceil(n / 32) buckets of near-equal size, none of one record, in length order
-    assert len(buckets) == -(-n // tr.EVAL_BUCKET)
-    assert max(map(len, buckets)) - min(map(len, buckets)) <= 1 < min(map(len, buckets))
+    # every record once, in buckets of 2 to EVAL_BUCKET records, in length order,
+    # each within EVAL_LENGTH_RATIO but for a class of one merged in
+    assert sum(map(len, buckets)) == n
+    assert all(2 <= len(b) <= tr.EVAL_BUCKET for b in buckets)
     assert all(a.max() <= b.min() for a, b in zip(buckets, buckets[1:]))
+    assert all(within_ratio_but_one(b) for b in buckets)
+
+
+def within_ratio_but_one(lengths):
+    """The longest is at most EVAL_LENGTH_RATIO times the shortest, once the
+    bucket drops at most one record at its long or its short end."""
+    b, r = np.sort(lengths), tr.EVAL_LENGTH_RATIO
+    return b[-1] <= r * b[0] or b[-2] <= r * b[0] or b[-1] <= r * b[1]
 
 
 @pytest.mark.parametrize("tag, text_mode", VARIANTS)
@@ -558,18 +567,67 @@ def test_predict_batch_stacks_each_bucket_to_its_longest_record(tag, text_mode, 
         whole, _ = model.forward(*inputs)  # every record at the full 40 (and 8) columns
 
     widths = []  # per bucket and modality: (buffer width, longest valid length)
+    rows = []
     real_forward = IntentClassifier.forward
 
     def spy(self, *args):
         widths.append([(m.shape[1], m.sum(axis=1).max()) for m in args[1::2]])
+        rows.append(args[1].shape[0])
         return real_forward(self, *args)
 
     monkeypatch.setattr(IntentClassifier, "forward", spy)
     probs, _ = tr.predict_batch(model, examples)
     assert np.array_equal(probs, whole.data)
-    assert len(widths) == -(-n // tr.EVAL_BUCKET)
+    assert sum(rows) == n and all(2 <= r <= tr.EVAL_BUCKET for r in rows)
     assert all(width == longest for bucket in widths for width, longest in bucket)
     assert min(bucket[0][0] for bucket in widths) < 40  # the short buckets are cut
+
+
+def bucket_spy(monkeypatch, examples):
+    """The example indices of each bucket that predict_batch runs, in run order."""
+    index = {id(e): i for i, e in enumerate(examples)}
+    buckets = []
+    real_forward = tr._forward
+
+    def spy(model, batch):
+        buckets.append([index[id(e)] for e in batch])
+        return real_forward(model, batch)
+
+    monkeypatch.setattr(tr, "_forward", spy)
+    return buckets
+
+
+@pytest.mark.parametrize("n", [40, 70])
+def test_records_within_the_length_ratio_keep_equal_buckets(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    lengths = rng.integers(20, 41, n)  # all within 2x of each other
+    examples = [Example(id=f"u{i}", audio=end_align(rng.normal(size=(int(v), 5)), 40),
+                        text=None, label=0, speaker="alba", transcript=f"s{i}")
+                for i, v in enumerate(lengths)]
+    model = IntentClassifier(ModelVariant("audio_bre", "none"), audio_dim=5, hidden=4,
+                             head_hidden=8, seed=2)
+    buckets = bucket_spy(monkeypatch, examples)
+    tr.predict_batch(model, examples)
+    order = np.argsort(lengths, kind="stable")
+    expected = np.array_split(order, -(-n // tr.EVAL_BUCKET))
+    assert len(buckets) == len(expected) > 1
+    assert all(np.array_equal(b, e) for b, e in zip(buckets, expected))
+
+
+def test_length_classes_cut_the_padded_audio_row_steps(monkeypatch):
+    n = 70
+    examples = longtail_examples(n, False, np.random.default_rng(5))
+    model = IntentClassifier(ModelVariant("audio_bre", "none"), audio_dim=5, hidden=4,
+                             head_hidden=8, seed=3)
+    buckets = bucket_spy(monkeypatch, examples)
+    tr.predict_batch(model, examples)
+    lengths = np.array([e.audio.valid_len for e in examples])
+
+    def row_steps(buckets):  # each bucket runs all its rows over its longest record
+        return sum(len(b) * lengths[b].max() for b in buckets)
+
+    old_rule = np.array_split(np.argsort(lengths, kind="stable"), -(-n // tr.EVAL_BUCKET))
+    assert lengths.sum() <= row_steps(buckets) < row_steps(old_rule)
 
 
 @pytest.mark.parametrize("tag, text_mode", VARIANTS)
