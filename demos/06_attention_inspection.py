@@ -43,7 +43,7 @@ for e in examples:
 
 for label, e in sorted(by_label.items()):
     probs, aux = model.forward(e.audio, text=e.text)
-    w = aux["audio_self"][-e.audio.valid_len:]
+    w = aux["audio_self"]
     thirds = [w[i * len(w) // 3:(i + 1) * len(w) // 3].sum() for i in range(3)]
     name = ["S", "YN", "WH", "RQ", "C", "R", "RC"][label]
     print(f"label {name}: predicted p({name}) = {probs.data[label]:.3f}, "
@@ -53,7 +53,7 @@ for label, e in sorted(by_label.items()):
 # Text attention rows align one-to-one with transcript characters.
 e = examples[0]
 probs, aux = model.forward(e.audio, text=e.text)
-wt = aux["text_cross"][-e.text.valid_len:]
+wt = aux["text_cross"]
 top = np.argsort(wt)[::-1][:3]
 chars = list(e.transcript)
 print(f"transcript: {e.transcript!r}")

@@ -103,6 +103,8 @@ def load_params(path: str | os.PathLike) -> dict[str, np.ndarray]:
             name = raw[off : off + name_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: a parameter name at byte {off} is not UTF-8") from exc
+        if not name.isprintable():  # it goes into one-line error messages
+            raise DataError(f"{path}: a parameter name at byte {off} is not printable")
         off += name_len
         (ndim,) = take("<B")
         if ndim > MAX_NDIM:

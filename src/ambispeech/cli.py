@@ -26,8 +26,8 @@ from . import models as md
 from . import synth as sy
 from . import training as tr
 from .config import check_fields, read_section
-from .errors import (ConfigError, DataError, DegenerateMaskError,
-                     EmptyInputError, LabelError, ModalityError, ShapeError)
+from .errors import (ConfigError, DataError, DegenerateMaskError, EmptyInputError,
+                     LabelError, ShapeError)
 
 CACHE_ENV = "AMBISPEECH_CACHE_DIR"
 
@@ -211,24 +211,23 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, fcfg, meta = md.load_model(args.checkpoint)
-    signal = ft.read_wav(args.wav)
-    audio_fs = ft.audio_features(signal, fcfg)
-    if meta["text_mode"] != "none" and args.transcript is None:
-        raise ConfigError(f"variant {meta['variant']} needs --transcript")
-    table = _checkpoint_table(args.embedding, meta) if meta["text_mode"] == "dense" else None
-    text_fs = cp.text_features(args.transcript, meta["text_mode"], table, fcfg.text_t_max)
+    variant, text_mode = meta["variant"], meta["text_mode"]
+    if text_mode == "none" and args.transcript is not None:
+        raise ConfigError(f"--transcript needs a text mode; variant {variant} reads no transcript")
+    if text_mode != "none" and args.transcript is None:
+        raise ConfigError(f"variant {variant} needs --transcript")
+    if text_mode != "dense" and args.embedding is not None:
+        raise ConfigError(f"--embedding needs a dense checkpoint; variant {variant} "
+                          f"has text_mode {text_mode!r}")
+    audio_fs = ft.audio_features(ft.read_wav(args.wav), fcfg)
+    table = _checkpoint_table(args.embedding, meta) if text_mode == "dense" else None
+    text_fs = cp.text_features(args.transcript, text_mode, table, fcfg.text_t_max)
     with tr._no_tape(model):
         probs, aux = model.forward(audio_fs, text=text_fs)
-    attention = {}
-    for key, weights in aux.items():
-        if key == "logits":
-            continue
-        n = text_fs.valid_len if key.startswith("text") else audio_fs.valid_len
-        attention[key] = [float(w) for w in weights[-n:]]
     out = {
         "label": cp.INTENT_LABELS[int(np.argmax(probs.data))],
         "probs": {name: float(p) for name, p in zip(cp.INTENT_LABELS, probs.data)},
-        "attention": attention,
+        "attention": {key: weights.tolist() for key, weights in aux.items() if key != "logits"},
     }
     print(json.dumps(out, indent=1))
     return 0
@@ -301,8 +300,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ModalityError, ShapeError, LabelError, EmptyInputError,
-            DegenerateMaskError) as exc:
+    except (ConfigError, ShapeError, LabelError, EmptyInputError, DegenerateMaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -375,15 +375,24 @@ def load_feature_sequence(path) -> FeatureSequence:
         raise DataError(f"{path} holds an invalid feature sequence: {exc}") from exc
 
 
+def _frame_bound(cfg: FeatureConfig) -> float:
+    """A bound on audio_frame_matrix's values (all >= 0): a Hann frame of samples in
+    [-1, 1] has |X_k| <= n_fft / 2, a mel filter weighs <= n_fft // 2 + 1 bins by <= 1,
+    and the RMS column is <= 1."""
+    mel_max = (cfg.n_fft // 2 + 1) * (cfg.n_fft / 2) ** 2
+    return max(float(np.log1p(mel_max)) if cfg.log_mel else mel_max, 1.0)
+
+
 def frame_matrix(path, cfg: FeatureConfig, cache_dir=None) -> tuple[Array, bool]:
     """The audio_frame_matrix of a WAV, and whether it came from the cache.
 
     An entry is named by a hash of the WAV's bytes and of the config fields
     the frames depend on, so the library and the CLI share entries. It holds
     the unaligned matrix (all-ones mask), so one entry serves any t_max. A
-    corrupt entry is recomputed and overwritten. The WAV is read once: a
-    miss parses the bytes that named the entry. cache_dir must exist;
-    without one the frames are computed and nothing is stored.
+    corrupt entry, or one with a value outside [0, _frame_bound(cfg)], is
+    recomputed and overwritten. The WAV is read once: a miss parses the
+    bytes that named the entry. cache_dir must exist; without one the
+    frames are computed and nothing is stored.
     """
     if cache_dir is None:
         return audio_frame_matrix(read_wav(path), cfg), False
@@ -392,10 +401,12 @@ def frame_matrix(path, cfg: FeatureConfig, cache_dir=None) -> tuple[Array, bool]
     key = hashlib.sha256(tag.encode() + data).hexdigest()
     entry = os.path.join(cache_dir, key + ".ambf")
     if os.path.exists(entry):
-        try:
-            return load_feature_sequence(entry).valid_rows(), True
+        try:  # a corrupt entry, or one holding a value no WAV makes, is recomputed below
+            mat = load_feature_sequence(entry).valid_rows()
+            if 0.0 <= mat.min() and mat.max() <= _frame_bound(cfg):
+                return mat, True
         except DataError:
-            pass  # a corrupt entry is recomputed and overwritten below
+            pass
     mat = audio_frame_matrix(_parse_wav(data, path), cfg)
     save_feature_sequence(entry, end_align(mat))
     return mat, False

@@ -71,18 +71,17 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> T
 class IntentClassifier:
     """One of the six variants, with its parameters and forward pass.
 
-    forward() accepts batched (B, T, D) arrays with (B, T) masks, or one
-    utterance as a FeatureSequence or a (T, D) array with its (T,) mask. It
-    is the one place that turns a single utterance into a batch of 1 and
-    back, so output rank follows input rank. It cuts each modality to its
-    used columns, from the first that any row uses, so the encoders and
-    attention never run over a column that only padding fills; a single
-    utterance padded to t_max thus runs as predict_batch([it]) does and
-    matches a one-record eval bit for bit. aux carries the raw logits and
-    every attention-weight matrix the variant produces, each at its
-    input's full width with exact zeros in the cut columns. The head, from
-    the concatenated pooled vectors through the MLP to the softmax, is one
-    fused graph node (_head), as each encoder and attention call is.
+    forward() takes per modality one utterance (a FeatureSequence, or a
+    (T, D) array with its (T,) mask) or a batch (a list of FeatureSequences,
+    or (B, T, D) arrays with (B, T) masks); output rank follows input rank.
+    _adapt cuts each modality to its used columns, from the first that any
+    row uses, so no encoder or attention runs over padding alone, and a
+    single utterance matches predict_batch([it]) bit for bit. aux carries
+    the raw logits and every attention map, each over the columns the
+    encoders ran, right-aligned with its input: for one utterance, one
+    weight per valid frame or character. The head, from the concatenated
+    pooled vectors through the MLP to the softmax, is one fused graph node
+    (_head), as each encoder and attention call is.
     """
 
     def __init__(self, variant: ModelVariant, audio_dim: int, text_dim: int | None = None,
@@ -148,11 +147,11 @@ class IntentClassifier:
         return ad._node(probs, (*parts, W1, b1, W2, b2), backward), logits
 
     def forward(self, audio, audio_mask=None, text=None, text_mask=None) -> tuple[Tensor, dict]:
-        a, am, cut_a, single = _adapt(audio, audio_mask)
+        a, am, single = _adapt(audio, audio_mask)
         if self.variant.uses_text:
             if text is None:
                 raise ModalityError(f"{self.variant.tag} requires a text input")
-            t, tm, cut_t, _ = _adapt(text, text_mask)
+            t, tm, _ = _adapt(text, text_mask)
             if t.shape[0] != a.shape[0]:
                 raise ShapeError(f"audio batch {a.shape[0]} != text batch {t.shape[0]}")
         aux: dict[str, Array] = {}
@@ -182,9 +181,6 @@ class IntentClassifier:
                 aux["audio_cross"], r_ap = attend(H_a, am, self.audio_xatt, f_t)
                 parts = [r_ap, r_tp]
 
-        for key, w in aux.items():  # each map back at its input's width, zeros in front
-            cut = cut_t if key.startswith("text") else cut_a
-            aux[key] = np.concatenate([np.zeros((w.shape[0], cut)), w], axis=1)
         probs, aux["logits"] = self._head(parts)
         if single:
             probs = ad.index(probs, 0)
@@ -229,29 +225,35 @@ class IntentClassifier:
             p.grad = None
 
 
-def _adapt(x, mask) -> tuple[Array, Array, int, bool]:
-    """(data, mask, cut, single): one modality as a batch from its first used column.
+def _adapt(x, mask) -> tuple[Array, Array, bool]:
+    """(data, mask, single): one modality as a batch from its first used column.
 
-    A single utterance becomes a batch of 1. The columns before the first
-    that any row uses hold only padding, which no output depends on, so no
-    encoder or attention runs over them. Shapes that disagree, or a mask
-    that uses no column, pass uncut, and bre_forward rejects them.
+    A sequence or a list of them is stacked from the first column any uses,
+    so no padding column is copied; arrays (a (T, D) one as a batch of 1) are
+    cut by their mask. Array shapes that disagree pass on to bre_forward.
     """
-    if isinstance(x, FeatureSequence):
-        data, m, single = x.data[None], x.mask[None], True
-    else:
-        data = np.asarray(x, dtype=np.float64)
-        if mask is None:
-            raise ShapeError("array inputs need an explicit mask")
-        m = np.asarray(mask, dtype=np.float64)
-        single = data.ndim == 2
-        if single:
-            data, m = data[None], m.reshape(1, -1)
-    used = m.any(axis=0) if data.ndim == 3 and m.shape == data.shape[:2] else None
-    if used is None or not used.any():
-        return data, m, 0, single
-    cut = int(used.argmax())
-    return data[:, cut:], m[:, cut:], cut, single
+    single = isinstance(x, FeatureSequence)
+    if single or isinstance(x, list):
+        seqs = [x] if single else x
+        if not seqs or not all(isinstance(s, FeatureSequence) for s in seqs):
+            raise ShapeError("a batch must be a non-empty list of FeatureSequences")
+        shapes = sorted({s.data.shape for s in seqs})
+        if len(shapes) > 1:
+            raise ShapeError(f"a batch's sequences must share (t_max, dim), got {shapes}")
+        first = min(s.t_max - s.valid_len for s in seqs)
+        data = np.stack([s.data[first:] for s in seqs])
+        return data, np.stack([s.mask[first:] for s in seqs]), single
+    data = np.asarray(x, dtype=np.float64)
+    if mask is None:
+        raise ShapeError("array inputs need an explicit mask")
+    m = np.asarray(mask, dtype=np.float64)
+    single = data.ndim == 2
+    if single:
+        data, m = data[None], m.reshape(1, -1)
+    if data.ndim != 3 or m.shape != data.shape[:2]:
+        return data, m, single
+    cut = int(m.any(axis=0).argmax())  # 0 when no column is used
+    return data[:, cut:], m[:, cut:], single
 
 
 # ----------------------------------------------------------- serialization

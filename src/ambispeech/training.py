@@ -12,11 +12,10 @@ from .autodiff import Tensor
 from .config import check_fields
 from .corpus import Example, INTENT_LABELS
 from .errors import ConfigError, LabelError, NonFiniteError
-from .models import IntentClassifier
+from .models import N_CLASSES, IntentClassifier
 
 Array = np.ndarray
 
-N_CLASSES = len(INTENT_LABELS)
 TOP_K = 5  # the pool size of select_checkpoint, and so the epochs train keeps a state for
 EVAL_BUCKET = 32  # the most records predict_batch runs at once
 EVAL_LENGTH_RATIO = 2  # predict_batch groups records within this factor of each other's length
@@ -185,18 +184,10 @@ def format_report(report: EvalReport) -> str:
 # ----------------------------------------------------------------- batching
 
 
-def _stack(seqs: list) -> tuple[Array, Array]:
-    """(data, mask) of end-aligned sequences, from the first column any of them uses."""
-    first = min(s.t_max - s.valid_len for s in seqs)
-    return np.stack([s.data[first:] for s in seqs]), np.stack([s.mask[first:] for s in seqs])
-
-
 def _forward(model: IntentClassifier, examples: list[Example]) -> tuple[Tensor, dict]:
-    """model.forward on the examples stacked as one batch: the one way a batch is built."""
-    audio = _stack([e.audio for e in examples])
-    if examples[0].text is None:
-        return model.forward(*audio)
-    return model.forward(*audio, *_stack([e.text for e in examples]))
+    """model.forward on the examples as one batch: how every batch is run."""
+    text = None if examples[0].text is None else [e.text for e in examples]
+    return model.forward([e.audio for e in examples], text=text)
 
 
 @contextmanager
@@ -245,13 +236,10 @@ def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Arr
     (a batch of one takes BLAS's matrix-vector path, whose last bits
     differ). Each class runs in ceil(n / EVAL_BUCKET) buckets of near-equal
     size, in ascending length order, so short records do not run through
-    a long one's padding. _forward, which builds every training batch too,
-    stacks each bucket on its own, each modality from the first column that
-    the bucket's longest record uses. IntentClassifier.forward makes the
-    same cut for any batch, so a single utterance's forward matches
-    predict_batch([it]) bit for bit. The cut changes no bit for a bucket:
-    masked steps freeze the LSTM state, and masked_softmax sums left to
-    right, so leading padding adds nothing. A record's last bits still
+    a long one's padding. forward stacks a bucket's sequences from the
+    first column its longest record uses, as for any batch. The cut changes
+    no bit: masked steps freeze the LSTM state, and masked_softmax sums left
+    to right, so leading padding adds nothing. A record's last bits still
     follow its bucket's composition: a row of an attention GEMM can differ
     in the last ulp with the matrix's row count. Probabilities come back
     in input order.
@@ -333,10 +321,8 @@ def train(model: IntentClassifier, train_set: list[Example], eval_set: list[Exam
     A record holds a copy of the parameters only while its epoch is in the
     top TOP_K by (accuracy, epoch). select_checkpoint always picks from
     that set, and an epoch that leaves it never returns, so the pick holds
-    its state. Each step's batch is stacked from its examples by _forward,
-    as predict_batch stacks a bucket, so no copy of the whole set is kept.
-    The eval buckets group records within EVAL_LENGTH_RATIO (2x) of each
-    other's length; see predict_batch.
+    its state. Each step's batch is built from its examples by forward,
+    as predict_batch's buckets are, so no copy of the whole set is kept.
     batch_hook(epoch, batch_index, record_ids, loss) observes every
     optimization step. A non-finite loss or gradient norm raises
     NonFiniteError before the step. Deterministic for a fixed cfg.seed.

@@ -605,6 +605,19 @@ def test_a_checkpoint_of_too_many_dimensions_is_one_error(corpus, tmp_path, caps
     assert err == f"error: {ckpt}: parameter w has 65 dimensions (at most 32)\n"
 
 
+def test_a_checkpoint_name_with_a_line_break_is_one_error(corpus, tmp_path, capsys, trained):
+    ckpt = tmp_path / "m.ambi"
+    raw = bytearray((trained / "selected.ambi").read_bytes())
+    first_name = 5 + 4 + 2  # magic, count, the first name's length
+    raw[first_name + 3] = ord("\n")
+    ckpt.write_bytes(bytes(raw))
+    (tmp_path / "m.ambi.json").write_bytes((trained / "selected.ambi.json").read_bytes())
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
+                     "--cache-dir", str(corpus / "cache")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: a parameter name at byte {first_name} is not printable\n"
+
+
 def test_eval_missing_checkpoint(corpus):
     assert cli.main(["eval", "--checkpoint", str(corpus / "ghost.ambi"),
                      "--manifest", manifest(corpus)]) == 1
@@ -662,6 +675,24 @@ def test_predict_requires_transcript_for_text_models(corpus, trained):
     wav = str(corpus / "corpus" / "wav" / "syn0000a.wav")
     assert cli.main(["predict", "--checkpoint", str(trained / "selected.ambi"),
                      "--wav", wav]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--transcript", "--embedding"])
+def test_predict_rejects_a_flag_its_checkpoint_cannot_read(corpus, trained, tmp_path, capsys,
+                                                           flag):
+    if flag == "--transcript":  # an audio-only checkpoint reads no transcript
+        assert train_one_epoch(corpus, tmp_path / "run") == 0
+        argv = ["--checkpoint", str(tmp_path / "run" / "selected.ambi"), "--transcript", "가나"]
+        says = "--transcript needs a text mode; variant audio_bre reads no transcript"
+    else:  # a sparse checkpoint reads no embedding table
+        argv = ["--checkpoint", str(trained / "selected.ambi"), "--transcript", "가나",
+                "--embedding", str(tmp_path / "ghost.txt")]
+        says = "--embedding needs a dense checkpoint; variant mha_a has text_mode 'sparse'"
+    capsys.readouterr()
+    # the WAV does not exist, so exit 2 also shows the check ran before any WAV read
+    assert cli.main(["predict", "--wav", str(tmp_path / "ghost.wav"), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {says}\n"
 
 
 def test_dense_checkpoint_needs_an_embedding_table(corpus, trained, tmp_path, capsys):

@@ -447,3 +447,34 @@ def test_feature_cache_rejects_corruption(tmp_path):
     for name in ("bad4.ambf", "bad5.ambf"):
         with pytest.raises(DataError, match="non-finite"):
             ft.load_feature_sequence(tmp_path / name)
+
+
+@pytest.mark.parametrize("log_mel", [True, False])
+def test_full_scale_frames_stay_within_the_frame_bound(log_mel):
+    # a full-scale square wave at the centre of a mel filter, and full-scale noise
+    rate, n_fft = 16000, 256
+    t = np.arange(4096)
+    centre = ft.mel_center_frequencies(rate, n_fft, 8)[3]
+    for samples in (np.sign(np.sin(2 * np.pi * centre * t / rate)) + 0.0,
+                    np.random.default_rng(0).choice([-1.0, 1.0], 4096)):
+        cfg = ft.FeatureConfig(n_mels=8, n_fft=n_fft, hop=128, log_mel=log_mel)
+        mat = ft.audio_frame_matrix(ft.AudioSignal(samples, rate), cfg)
+        assert 0.0 <= mat.min() and mat.max() <= ft._frame_bound(cfg)
+
+
+@pytest.mark.parametrize("value", [1e200, -1.0])
+def test_a_cache_entry_no_wav_could_make_is_recomputed(tmp_path, value):
+    wav = tmp_path / "a.wav"
+    ft.write_wav(wav, sine(440.0, seconds=0.05, amp=0.6))
+    cfg = ft.FeatureConfig(n_mels=8, n_fft=256, hop=128)
+    fresh, _ = ft.frame_matrix(wav, cfg, tmp_path)
+    (entry,) = tmp_path.glob("*.ambf")
+    raw = entry.read_bytes()
+    poisoned = bytearray(raw)
+    poisoned[len(ft._CACHE_MAGIC) + 8 : len(ft._CACHE_MAGIC) + 16] = struct.pack("<d", value)
+    entry.write_bytes(bytes(poisoned))
+    ft.load_feature_sequence(entry)  # finite, so the record itself parses
+    mat, reused = ft.frame_matrix(wav, cfg, tmp_path)
+    assert not reused
+    np.testing.assert_array_equal(mat, fresh)
+    assert entry.read_bytes() == raw

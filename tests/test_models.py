@@ -135,6 +135,8 @@ def test_batched_forward_matches_single():
 
 @pytest.mark.parametrize("tag", md.VARIANT_TAGS)
 def test_forward_cuts_padding_columns_and_widens_aux(tag, monkeypatch):
+    """The padded forward runs only the used columns; its probabilities and its
+    maps, which cover those columns, equal the unpadded forward's."""
     uses_text = tag not in md.AUDIO_ONLY_TAGS
     rng = np.random.default_rng(12)
     rows_a, rows_t = rng.normal(size=(4, 9)), rng.normal(size=(3, 8))
@@ -163,12 +165,53 @@ def test_forward_cuts_padding_columns_and_widens_aux(tag, monkeypatch):
     assert all(width == mask_width in (4, 3) and full for _, width, mask_width, full in seen)
     assert np.array_equal(probs.data, exact.data)
     assert aux.keys() == exact_aux.keys()
-    for key, weights in aux.items():
-        if key != "logits":
-            t_max, valid = (8, 3) if key.startswith("text") else (12, 4)
-            assert weights.shape == (t_max,), key
-            assert np.all(weights[: t_max - valid] == 0.0), key
-            assert np.array_equal(weights[t_max - valid :], exact_aux[key]), key
+    for key, weights in aux.items():  # each map covers the valid span only
+        assert np.array_equal(weights, exact_aux[key]), key
+
+
+@pytest.mark.parametrize("tag", md.VARIANT_TAGS)
+def test_a_list_of_sequences_runs_as_the_stacked_arrays(tag):
+    uses_text = tag not in md.AUDIO_ONLY_TAGS
+    rng = np.random.default_rng(13)
+    audio = [fs(rng, 12, 9, v) for v in (3, 7, 5)]
+    text = [fs(rng, 8, 8, v) for v in (2, 6, 4)] if uses_text else None
+
+    def run(*inputs, **kwargs):
+        m = build(tag, seed=5)
+        prng = np.random.default_rng(15)  # learned contexts away from 0, as in training
+        m.load_state({k: w + 0.3 * prng.normal(size=w.shape) for k, w in m.state().items()})
+        probs, aux = m.forward(*inputs, **kwargs)
+        weighted_sum((probs, np.arange(1.0, 8.0))).backward()
+        return probs.data, aux["logits"], {n: p.grad for n, p in m.named_parameters().items()}
+
+    def stacked(seqs):
+        return np.stack([s.data for s in seqs]), np.stack([s.mask for s in seqs])
+
+    got = run(audio, text=text)
+    want = run(*stacked(audio), *(stacked(text) if uses_text else ()))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2].keys() == want[2].keys()
+    for name, g in got[2].items():
+        assert np.array_equal(g, want[2][name]), name
+
+
+def test_a_bad_list_of_sequences_is_a_shape_error():
+    m = build("ca")
+    rng = np.random.default_rng(14)
+    audio, text = [fs(rng, 6, 9, 4)], [fs(rng, 4, 8, 3)]
+    cases = [
+        ([], text, "a batch must be a non-empty list of FeatureSequences"),
+        (audio, [], "a batch must be a non-empty list of FeatureSequences"),
+        ([audio[0], audio[0].data], text * 2,
+         "a batch must be a non-empty list of FeatureSequences"),
+        (audio + [fs(rng, 7, 9, 4)], text * 2,
+         "a batch's sequences must share (t_max, dim), got [(6, 9), (7, 9)]"),
+        (audio * 2, text + [fs(rng, 4, 5, 3)],
+         "a batch's sequences must share (t_max, dim), got [(4, 5), (4, 8)]"),
+    ]
+    for a, t, says in cases:
+        with pytest.raises(ShapeError, match=f"^{re.escape(says)}$"):
+            m.forward(a, text=t)
 
 
 def test_forward_keeps_its_shape_and_empty_row_errors():
@@ -252,7 +295,7 @@ def test_single_valid_text_step_pins_cross_attention():
     audio = fs(rng, 6, 9, 4)
     text = fs(rng, 4, 8, 1)
     _, aux = m.forward(audio, text=text)
-    np.testing.assert_array_equal(aux["text_cross"], [0.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(aux["text_cross"], [1.0])
 
 
 def test_ca_cross_pool_differs_from_self_pool():

@@ -6,6 +6,7 @@ import pytest
 from gradcases import softmax_node
 
 from ambispeech import autodiff as ad
+from ambispeech import models as md
 from ambispeech import training as tr
 from ambispeech.autodiff import Tensor
 from ambispeech.corpus import Example, INTENT_LABELS
@@ -566,21 +567,21 @@ def test_predict_batch_stacks_each_bucket_to_its_longest_record(tag, text_mode, 
     with tr._no_tape(model):
         whole, _ = model.forward(*inputs)  # every record at the full 40 (and 8) columns
 
-    widths = []  # per bucket and modality: (buffer width, longest valid length)
-    rows = []
-    real_forward = IntentClassifier.forward
+    seen = []  # per encoder run: (input width, longest valid length, rows)
+    real_bre = md.bre_forward
 
-    def spy(self, *args):
-        widths.append([(m.shape[1], m.sum(axis=1).max()) for m in args[1::2]])
-        rows.append(args[1].shape[0])
-        return real_forward(self, *args)
+    def spy(x, p, mask):
+        seen.append((x.shape[1], mask.sum(axis=1).max(), x.shape[0]))
+        return real_bre(x, p, mask)
 
-    monkeypatch.setattr(IntentClassifier, "forward", spy)
+    monkeypatch.setattr(md, "bre_forward", spy)
     probs, _ = tr.predict_batch(model, examples)
     assert np.array_equal(probs, whole.data)
-    assert sum(rows) == n and all(2 <= r <= tr.EVAL_BUCKET for r in rows)
-    assert all(width == longest for bucket in widths for width, longest in bucket)
-    assert min(bucket[0][0] for bucket in widths) < 40  # the short buckets are cut
+    audio = seen[:: 1 + text]  # each bucket runs the audio encoder, then the text one
+    assert len(seen) == len(audio) * (1 + text)
+    assert sum(r for *_, r in audio) == n and all(2 <= r <= tr.EVAL_BUCKET for *_, r in audio)
+    assert all(width == longest for width, longest, _ in seen)
+    assert min(width for width, *_ in audio) < 40  # the short buckets are cut
 
 
 def bucket_spy(monkeypatch, examples):
