@@ -179,8 +179,9 @@ def bre_forward(x, p: BREParams, mask) -> tuple[Tensor, Tensor]:
     B, T = m.shape
     h = p.hidden
     packed = np.zeros((B, T + 1, 2 * h))
-    bptt_f = _lstm_direction(data, m, p.fwd, False, packed[..., :h])
-    bptt_b = _lstm_direction(data, m, p.bwd, True, packed[..., h:])
+    with np.errstate(over="ignore"):  # a gate's exp overflows to a sigmoid of exactly 0
+        bptt_f = _lstm_direction(data, m, p.fwd, False, packed[..., :h])
+        bptt_b = _lstm_direction(data, m, p.bwd, True, packed[..., h:])
 
     def backward(g: Array) -> None:
         bptt_f(g[..., :h])

@@ -74,9 +74,10 @@ class IntentClassifier:
     forward() takes per modality one utterance (a FeatureSequence, or a
     (T, D) array with its (T,) mask) or a batch (a list of FeatureSequences,
     or (B, T, D) arrays with (B, T) masks); output rank follows input rank.
-    _adapt cuts each modality to its used columns, from the first that any
-    row uses, so no encoder or attention runs over padding alone, and a
-    single utterance matches predict_batch([it]) bit for bit. aux carries
+    _adapt builds each modality's batch over its used columns only (a list
+    of sequences of any t_max is padded once from their valid rows), so no
+    encoder or attention runs over padding alone, and a single utterance
+    matches predict_batch([it]) bit for bit. aux carries
     the raw logits and every attention map, each over the columns the
     encoders ran, right-aligned with its input: for one utterance, one
     weight per valid frame or character. The head, from the concatenated
@@ -226,23 +227,28 @@ class IntentClassifier:
 
 
 def _adapt(x, mask) -> tuple[Array, Array, bool]:
-    """(data, mask, single): one modality as a batch from its first used column.
+    """(data, mask, single): one modality as a batch over its used columns.
 
-    A sequence or a list of them is stacked from the first column any uses,
-    so no padding column is copied; arrays (a (T, D) one as a batch of 1) are
-    cut by their mask. Array shapes that disagree pass on to bre_forward.
+    A sequence or a list of them is padded once: each one's valid rows end
+    a zero (B, longest valid_len, dim) buffer, so sequences of any t_max
+    batch together; arrays (a (T, D) one as a batch of 1) are cut by their
+    mask. Array shapes that disagree pass on to bre_forward.
     """
     single = isinstance(x, FeatureSequence)
     if single or isinstance(x, list):
         seqs = [x] if single else x
         if not seqs or not all(isinstance(s, FeatureSequence) for s in seqs):
             raise ShapeError("a batch must be a non-empty list of FeatureSequences")
-        shapes = sorted({s.data.shape for s in seqs})
-        if len(shapes) > 1:
-            raise ShapeError(f"a batch's sequences must share (t_max, dim), got {shapes}")
-        first = min(s.t_max - s.valid_len for s in seqs)
-        data = np.stack([s.data[first:] for s in seqs])
-        return data, np.stack([s.mask[first:] for s in seqs]), single
+        rows = [s.valid_rows() for s in seqs]
+        dims = sorted({r.shape[1] for r in rows})
+        if len(dims) > 1:
+            raise ShapeError(f"a batch's sequences must share dim, got {dims}")
+        width = max(len(r) for r in rows)
+        data, m = np.zeros((len(rows), width, dims[0])), np.zeros((len(rows), width))
+        for i, r in enumerate(rows):
+            data[i, width - len(r):] = r
+            m[i, width - len(r):] = 1.0
+        return data, m, single
     data = np.asarray(x, dtype=np.float64)
     if mask is None:
         raise ShapeError("array inputs need an explicit mask")

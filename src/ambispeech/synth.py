@@ -85,14 +85,6 @@ def _script_labels(spec: SyntheticSpec, stype: str, partner_state: dict[str, int
     for j in range(needed):
         labels.append(pool[(k + j) % len(pool)])
     partner_state[stype] = k + needed
-    # the invariant: >=2 distinct labels, pairwise separable by audio alone
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"script type {stype}: duplicate labels {labels}")
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if DEFAULT_CONTOURS[a] == DEFAULT_CONTOURS[b]:
-                raise ConfigError(
-                    f"labels {a} and {b} share contour {DEFAULT_CONTOURS[a]} on one script")
     return labels
 
 

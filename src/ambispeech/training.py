@@ -236,13 +236,13 @@ def predict_batch(model: IntentClassifier, examples: list[Example]) -> tuple[Arr
     (a batch of one takes BLAS's matrix-vector path, whose last bits
     differ). Each class runs in ceil(n / EVAL_BUCKET) buckets of near-equal
     size, in ascending length order, so short records do not run through
-    a long one's padding. forward stacks a bucket's sequences from the
-    first column its longest record uses, as for any batch. The cut changes
-    no bit: masked steps freeze the LSTM state, and masked_softmax sums left
-    to right, so leading padding adds nothing. A record's last bits still
-    follow its bucket's composition: a row of an attention GEMM can differ
-    in the last ulp with the matrix's row count. Probabilities come back
-    in input order.
+    a long one's padding. forward pads a bucket once, to its longest
+    record's valid rows, as for any batch, so records of any t_max share a
+    bucket. The padding left out changes no bit: masked steps freeze the
+    LSTM state, and masked_softmax sums left to right, so leading padding
+    adds nothing. A record's last bits still follow its bucket's
+    composition: a row of an attention GEMM can differ in the last ulp
+    with the matrix's row count. Probabilities come back in input order.
     """
     probs = np.empty((len(examples), N_CLASSES))
     with _no_tape(model):

@@ -327,6 +327,13 @@ def test_train_config_errors(corpus, tmp_path, capsys):
                                        "BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n")
     assert cli.main(base + ["--variant", "audio_bre",
                             "--config", str(tmp_path / "ghost.json")]) == 1
+    capsys.readouterr()
+    for argv, says in ((["train", "--out", str(tmp_path / "x"), "--variant", "audio_bre"],
+                        "train needs a manifest (flag or config)"),
+                       (base + ["--variant", "mha_a", "--text-mode", "dense"],
+                        "dense text mode needs an embedding table path")):
+        assert cli.main(argv) == 2, says
+        assert capsys.readouterr() == ("", f"error: {says}\n")
 
 
 def test_train_without_out_fails_before_featurizing(corpus, tmp_path, capsys):
@@ -479,10 +486,12 @@ _MISSING = object()
     ("features", {"log_mel": 1}, "log_mel must be true or false"),
     ("features", {"window": "hann"}, "unknown feature config keys"),
     ("features", {"audio_t_max": 0}, "audio_t_max must be >= 1 or null"),
+    ("labels", list(reversed(cp.INTENT_LABELS)), "carries an unknown label order"),
 ], ids=["hidden-missing", "hidden-str", "hidden-zero", "head_hidden-bool", "audio_dim-float",
         "text_dim-str", "variant-int", "text_mode-null", "variant-unknown", "text_mode-unknown",
         "text_dim-null-needs-text", "features-hop-zero", "features-hop-str",
-        "features-log_mel-int", "features-unknown-key", "features-audio_t_max-zero"])
+        "features-log_mel-int", "features-unknown-key", "features-audio_t_max-zero",
+        "labels-reordered"])
 def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, key, value, says):
     ckpt = tmp_path / "m.ambi"
     ckpt.write_bytes((trained / "selected.ambi").read_bytes())
@@ -497,9 +506,19 @@ def test_eval_rejects_sidecar_without_hidden(corpus, trained, tmp_path, capsys, 
                   "--cache-dir", str(corpus / "cache")],
                  ["predict", "--checkpoint", str(ckpt), "--wav", wav, "--transcript", "가나"]):
         assert cli.main(argv) == 1, argv[0]
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and says in err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and out == ""
+
+
+def test_eval_rejects_a_non_object_sidecar_and_a_missing_manifest(trained, tmp_path, capsys):
+    ckpt = tmp_path / "m.ambi"
+    ckpt.write_bytes((trained / "selected.ambi").read_bytes())
+    (tmp_path / "m.ambi.json").write_text("[1, 2]", encoding="utf-8")
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", "unused.tsv"]) == 1
+    assert capsys.readouterr() == ("", f"error: sidecar {ckpt}.json must hold a JSON object\n")
+    assert cli.main(["eval", "--checkpoint", str(trained / "selected.ambi")]) == 2
+    assert capsys.readouterr() == ("", "error: eval needs a manifest (flag or config)\n")
 
 
 @pytest.mark.parametrize("which, code", [("manifest", 1), ("embedding", 1), ("config", 2),

@@ -396,13 +396,17 @@ def test_spec_validation():
             SyntheticSpec(**{key: value})
 
 
-def test_contour_collision_on_one_script_is_rejected(tmp_path, monkeypatch):
-    # the fifth decl script draws partner R; giving R the S contour makes
-    # that script audio-ambiguous three ways, which the generator must refuse
-    monkeypatch.setitem(sy.DEFAULT_CONTOURS, "R", sy.DEFAULT_CONTOURS["S"])
-    spec = SyntheticSpec(n_scripts=5, script_types=("decl",), seed=7)
-    with pytest.raises(ConfigError, match="share contour"):
-        generate_synthetic(spec, str(tmp_path))
+def test_every_script_gets_distinct_labels_apart_by_contour():
+    # each script type, at every variant count and every offset of its
+    # partner cycle, gives labels that differ pairwise in contour, so audio
+    # alone can tell each script's renderings apart
+    for stype, (_, _, pool) in sy.SCRIPT_TYPES.items():
+        for variants in (2, 3, 4):
+            spec = SyntheticSpec(variants_per_script=variants)
+            for offset in range(len(pool)):
+                labels = sy._script_labels(spec, stype, {stype: offset})
+                contours = {sy.DEFAULT_CONTOURS[label] for label in labels}
+                assert len(labels) == variants == len(contours), (stype, offset, labels)
 
 
 def test_render_utterance_shape_and_pauses():

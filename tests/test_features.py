@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import os
 import struct
 import wave
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +480,14 @@ def test_a_cache_entry_no_wav_could_make_is_recomputed(tmp_path, value):
     assert not reused
     np.testing.assert_array_equal(mat, fresh)
     assert entry.read_bytes() == raw
+
+
+def test_only_the_features_module_reads_a_sequences_layout():
+    # how a FeatureSequence stores its rows (t_max buffer, mask) is decided in
+    # one module; every other one reads valid_len, valid_rows() and dim
+    package = Path(ft.__file__).parent
+    readers = {
+        src.name for src in package.glob("*.py")
+        for node in ast.walk(ast.parse(src.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("t_max", "mask")}
+    assert readers == {"features.py"}

@@ -8,7 +8,7 @@ from ambispeech import autodiff as ad
 from ambispeech import models as md
 from ambispeech.autodiff import Tensor
 from ambispeech.errors import ConfigError, DataError, EmptyInputError, ModalityError, ShapeError
-from ambispeech.features import FeatureConfig, end_align
+from ambispeech.features import AudioSignal, FeatureConfig, audio_features, end_align
 
 
 def fs(rng, t_max, dim, valid):
@@ -171,10 +171,12 @@ def test_forward_cuts_padding_columns_and_widens_aux(tag, monkeypatch):
 
 @pytest.mark.parametrize("tag", md.VARIANT_TAGS)
 def test_a_list_of_sequences_runs_as_the_stacked_arrays(tag):
+    # sequences of one t_max, then of mixed t_max, run as their rows end-aligned
+    # to one common t_max and stacked
     uses_text = tag not in md.AUDIO_ONLY_TAGS
     rng = np.random.default_rng(13)
-    audio = [fs(rng, 12, 9, v) for v in (3, 7, 5)]
-    text = [fs(rng, 8, 8, v) for v in (2, 6, 4)] if uses_text else None
+    rows_a = [rng.normal(size=(v, 9)) for v in (3, 7, 5)]
+    rows_t = [rng.normal(size=(v, 8)) for v in (2, 6, 4)]
 
     def run(*inputs, **kwargs):
         m = build(tag, seed=5)
@@ -182,17 +184,21 @@ def test_a_list_of_sequences_runs_as_the_stacked_arrays(tag):
         m.load_state({k: w + 0.3 * prng.normal(size=w.shape) for k, w in m.state().items()})
         probs, aux = m.forward(*inputs, **kwargs)
         weighted_sum((probs, np.arange(1.0, 8.0))).backward()
-        return probs.data, aux["logits"], {n: p.grad for n, p in m.named_parameters().items()}
+        return probs.data, aux, {n: p.grad for n, p in m.named_parameters().items()}
 
-    def stacked(seqs):
+    def stacked(rows, t_max):
+        seqs = [end_align(r, t_max) for r in rows]
         return np.stack([s.data for s in seqs]), np.stack([s.mask for s in seqs])
 
-    got = run(audio, text=text)
-    want = run(*stacked(audio), *(stacked(text) if uses_text else ()))
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert got[2].keys() == want[2].keys()
-    for name, g in got[2].items():
-        assert np.array_equal(g, want[2][name]), name
+    want = run(*stacked(rows_a, 12), *(stacked(rows_t, 8) if uses_text else ()))
+    for t_audio, t_text in (((12, 12, 12), (8, 8, 8)), ((7, 12, 9), (6, 8, 4))):
+        text = [end_align(r, t) for r, t in zip(rows_t, t_text)] if uses_text else None
+        got = run([end_align(r, t) for r, t in zip(rows_a, t_audio)], text=text)
+        assert np.array_equal(got[0], want[0]), t_audio
+        for part in (1, 2):  # aux maps with the logits, then gradients
+            assert got[part].keys() == want[part].keys()
+            for name, value in got[part].items():
+                assert np.array_equal(value, want[part][name]), (t_audio, name)
 
 
 def test_a_bad_list_of_sequences_is_a_shape_error():
@@ -204,14 +210,24 @@ def test_a_bad_list_of_sequences_is_a_shape_error():
         (audio, [], "a batch must be a non-empty list of FeatureSequences"),
         ([audio[0], audio[0].data], text * 2,
          "a batch must be a non-empty list of FeatureSequences"),
-        (audio + [fs(rng, 7, 9, 4)], text * 2,
-         "a batch's sequences must share (t_max, dim), got [(6, 9), (7, 9)]"),
-        (audio * 2, text + [fs(rng, 4, 5, 3)],
-         "a batch's sequences must share (t_max, dim), got [(4, 5), (4, 8)]"),
+        (audio * 2, text + [fs(rng, 4, 5, 3)], "a batch's sequences must share dim, got [5, 8]"),
+        (audio + [fs(rng, 7, 4, 4)], text * 2, "a batch's sequences must share dim, got [4, 9]"),
     ]
     for a, t, says in cases:
         with pytest.raises(ShapeError, match=f"^{re.escape(says)}$"):
             m.forward(a, text=t)
+
+
+def test_an_lstm_gate_saturates_without_an_overflow_warning():
+    # raw (not log) mel power of a loud tone drives a fresh model's gate
+    # pre-activations below -709, where exp overflows; the suite turns
+    # warnings into errors
+    t = np.arange(8000) / 16000
+    cfg = FeatureConfig(log_mel=False)
+    audio = audio_features(AudioSignal(0.8 * np.sin(2 * np.pi * 440.0 * t), 16000), cfg)
+    m = md.IntentClassifier(md.ModelVariant("audio_bre"), audio_dim=audio.dim, seed=0)
+    probs, _ = m.forward(audio)
+    assert np.all(np.isfinite(probs.data))
 
 
 def test_forward_keeps_its_shape_and_empty_row_errors():

@@ -9,10 +9,11 @@ from ambispeech import autodiff as ad
 from ambispeech import models as md
 from ambispeech import training as tr
 from ambispeech.autodiff import Tensor
-from ambispeech.corpus import Example, INTENT_LABELS
+from ambispeech.corpus import Example, INTENT_LABELS, featurize_corpus
 from ambispeech.errors import ConfigError, LabelError, ModalityError, NonFiniteError
-from ambispeech.features import end_align
+from ambispeech.features import FeatureConfig, end_align
 from ambispeech.models import IntentClassifier, ModelVariant
+from ambispeech.synth import SyntheticSpec, generate_synthetic
 
 
 def make_examples(n, rng, audio_dim=5, speakers=("alba", "brim")):
@@ -629,6 +630,48 @@ def test_length_classes_cut_the_padded_audio_row_steps(monkeypatch):
 
     old_rule = np.array_split(np.argsort(lengths, kind="stable"), -(-n // tr.EVAL_BUCKET))
     assert lengths.sum() <= row_steps(buckets) < row_steps(old_rule)
+
+
+@pytest.mark.parametrize("lengths, want", [
+    # the longest is more than twice the next: it joins the next shorter class
+    ([40, 2, 12, 3, 9, 2, 10], [[1, 5, 3], [4, 6, 2, 0]]),
+    # the shortest is less than half the next: it joins the next longer class
+    ([30, 10, 2, 32, 9, 11], [[2, 4, 1, 5], [0, 3]]),
+])
+def test_a_length_class_of_one_joins_its_neighbour(lengths, want, monkeypatch):
+    assert [b.tolist() for b in tr._eval_buckets(lengths)] == want
+    rng = np.random.default_rng(len(lengths))
+    examples = [Example(id=f"u{i}", audio=end_align(rng.normal(size=(v, 5)), 40), text=None,
+                        label=0, speaker="alba", transcript=f"s{i}")
+                for i, v in enumerate(lengths)]
+    model = IntentClassifier(ModelVariant("audio_bre_att", "none"), audio_dim=5, hidden=4,
+                             head_hidden=8, seed=2)
+    with tr._no_tape(model):
+        whole, _ = tr._forward(model, examples)
+    buckets = bucket_spy(monkeypatch, examples)
+    probs, _ = tr.predict_batch(model, examples)
+    assert buckets == want
+    assert np.array_equal(probs, whole.data)
+
+
+def test_examples_of_two_featurize_calls_evaluate_as_one(tmp_path):
+    # each featurize_corpus call resolves its own t_max; a batch takes the
+    # valid rows of each sequence, so the mix runs as one call's Examples
+    _, records = generate_synthetic(SyntheticSpec(n_scripts=6, seed=3), str(tmp_path))
+    longest = max(len(r.transcript) for r in records)
+    parts = ([r for r in records if len(r.transcript) < longest],
+             [r for r in records if len(r.transcript) == longest])
+    cfg = FeatureConfig(n_mels=8, n_fft=256, hop=128)
+    whole, _ = featurize_corpus(parts[0] + parts[1], cfg, "sparse", base_dir=str(tmp_path))
+    (a, a_cfg), (b, b_cfg) = (featurize_corpus(part, cfg, "sparse", base_dir=str(tmp_path))
+                              for part in parts)
+    assert a_cfg.audio_t_max != b_cfg.audio_t_max and a_cfg.text_t_max != b_cfg.text_t_max
+    model = IntentClassifier(ModelVariant("ca", "sparse"), audio_dim=cfg.audio_dim,
+                             text_dim=whole[0].text.dim, hidden=4, head_hidden=8, seed=1)
+    report = tr.format_report(tr.evaluate(model, a + b))
+    assert report == tr.format_report(tr.evaluate(model, whole))
+    for got, want in zip(tr.predict_batch(model, a + b), tr.predict_batch(model, whole)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("tag, text_mode", VARIANTS)
