@@ -4,11 +4,11 @@ Traced nodes with hand-written backward passes
 
 Each model layer in this package is one traced node with a hand-written
 backward: an encoder's two LSTM directions, every attention call, the
-classifier head and the loss. The masked softmax inside attention and the
-head is a plain array function. This walk-through runs it, sends the
-engine's two ops (index and the negative log-likelihood) through a
-backward pass, then lets the finite-difference checker confirm the
-analytic gradients of one attention call and of a whole model.
+classifier head and the cross-entropy loss. The masked softmax inside
+attention and the head is a plain array function. This walk-through runs
+it, sends the engine's one op (index) and the loss through a backward
+pass, then lets the finite-difference checker confirm the analytic
+gradients of one attention call and of a whole model.
 """
 
 import numpy as np
@@ -25,12 +25,14 @@ print("masked softmax:\n", masked_softmax(scores, mask))
 
 # A Tensor wraps a float64 array. Only tensors created with
 # requires_grad=True (and anything computed from them) receive gradients.
-# index copies a basic-indexing read: here row 1, then a new leading axis,
-# the two steps a single utterance takes from the head to the loss. nll is
-# the mean negative log-probability of each row's label; backward() walks
-# the recorded nodes once and scatters the gradient back through index.
-probs = Tensor(masked_softmax(scores, mask), requires_grad=True)
-loss = ad.nll(ad.index(ad.index(probs, 1), None), np.array([2]))
+# index copies a basic-indexing read: here row 1 of two seven-way
+# probability rows, the step a single utterance takes from the head to the
+# loss. cross_entropy is the mean negative log-probability of each row's
+# label, and it reads a lone row as a batch of one; backward() walks the
+# recorded nodes once and scatters the gradient back through index.
+rng = np.random.default_rng(0)
+probs = Tensor(masked_softmax(rng.normal(size=(2, 7)), np.ones(7)), requires_grad=True)
+loss = cross_entropy(ad.index(probs, 1), 2)
 print("loss =", loss.item())
 loss.backward()
 print("dloss/dprobs (nonzero only at row 1, label 2) =\n", probs.grad)
@@ -38,19 +40,18 @@ print("dloss/dprobs (nonzero only at row 1, label 2) =\n", probs.grad)
 # gradient_check perturbs every input coordinate with central differences
 # and reports the worst relative disagreement with the analytic gradient.
 # Here it checks one attention call: a learned context scores five states
-# per row, and nll reads the pooled vectors. nll needs positive entries
-# only: the states lie in (0.1, 1), so each pooled vector, a convex mix of
-# them, does too.
-rng = np.random.default_rng(0)
-ap = init_attention(rng, d_c=3, state_dim=4, learned_context=True)
+# of seven entries per row, and cross_entropy reads the pooled vectors.
+# The loss needs positive entries only: the states lie in (0.1, 1), so each
+# pooled vector, a convex mix of them, does too.
+ap = init_attention(rng, d_c=3, state_dim=7, learned_context=True)
 ap.c.data = rng.normal(size=3)
-H = Tensor(rng.uniform(0.1, 1.0, size=(2, 5, 4)))
+H = Tensor(rng.uniform(0.1, 1.0, size=(2, 5, 7)))
 state_mask = np.array([[0.0, 0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
 
 
 def attention_loss(H, W, b, c):
     _, pooled = attend(H, state_mask, AttentionParams(W, b, c), c)
-    return ad.nll(pooled, np.array([0, 3]))
+    return cross_entropy(pooled, np.array([0, 3]))
 
 
 err = gradient_check(attention_loss, [H, ap.W, ap.b, ap.c])
@@ -73,5 +74,6 @@ err = gradient_check(model_loss, model.parameters())
 print(f"model gradient check over {model.num_params()} parameters, "
       f"worst relative error: {err:.2e}")
 
-# The engine keeps only the ops the layers call; each one is checked the same way.
+# The engine registers only the ops the layers call, today index alone;
+# each one is checked the same way.
 print("registered ops:", ", ".join(sorted(ad.REGISTERED_OPS)))

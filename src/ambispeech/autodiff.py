@@ -6,10 +6,11 @@ node exactly once. Two helpers hold the whole tape rule, so no op reads
 requires_grad: _node records a result, with its closure and the parents
 that require grad, only when some parent requires grad; _accum drops any
 gradient routed to a tensor that does not require grad. Each model layer
-(an encoder, an attention call, the classifier head) is one _node with a
-hand-written backward, so the engine itself keeps only the two ops the
-package calls: index and nll. masked_softmax is a plain array function;
-the layers that use it call _softmax_grad in their own backwards.
+(an encoder, an attention call, the classifier head, the loss in
+training) is one _node with a hand-written backward, so the engine itself
+keeps only the one op the package calls: index. masked_softmax is a plain
+array function; the layers that use it call _softmax_grad in their own
+backwards.
 """
 
 from __future__ import annotations
@@ -143,36 +144,8 @@ def _softmax_grad(out: Array, g: Array) -> Array:
     return out * (g - np.cumsum(g * out, axis=-1)[..., -1:])
 
 
-# ---------------------------------------------------------------------- loss
-
-
-def nll(probs, labels) -> Tensor:
-    """mean(-log(max(p[row, label], tiny))) over the rows of (B, C) probabilities.
-
-    tiny is the smallest normal float64, so the loss stays finite when a
-    labelled probability underflows to 0. The gradient at each labelled
-    entry is -1 / (B * p) where p > tiny, and 0 everywhere else.
-    """
-    p = _wrap(probs)
-    labels = np.asarray(labels)
-    if p.ndim != 2 or labels.shape != (p.shape[0],):
-        raise ShapeError(f"nll: probs {p.shape} do not fit labels {labels.shape}")
-    rows = np.arange(labels.shape[0])
-    picked = p.data[rows, labels]
-    tiny = np.finfo(np.float64).tiny
-    out_data = np.asarray((-np.log(np.maximum(picked, tiny))).mean())
-
-    def backward(g: Array) -> None:
-        live = picked > tiny
-        grad = np.zeros(p.shape)
-        grad[rows[live], labels[live]] = ((float(g) / labels.shape[0]) * -1.0) / picked[live]
-        _accum(p, grad)
-
-    return _node(out_data, (p,), backward)
-
-
 # every differentiable op the engine exposes, for exhaustive gradient tests
-REGISTERED_OPS: dict[str, Callable] = {"index": index, "nll": nll}
+REGISTERED_OPS: dict[str, Callable] = {"index": index}
 
 
 # ------------------------------------------------------------ gradient check

@@ -186,7 +186,11 @@ def _checkpoint_table(path: str | None, meta: dict) -> ft.EmbeddingTable:
     path = path or meta.get("embedding_path")
     if path is None:
         raise ConfigError("dense checkpoint without an embedding table path")
-    return cp.load_embedding_table(path)
+    table = cp.load_embedding_table(path)
+    if table.dim != meta["text_dim"]:
+        raise ConfigError(f"embedding table {path} has dim {table.dim}, "
+                          f"but the checkpoint's text_dim is {meta['text_dim']}")
+    return table
 
 
 def cmd_eval(args) -> int:
@@ -219,8 +223,8 @@ def cmd_predict(args) -> int:
     if text_mode != "dense" and args.embedding is not None:
         raise ConfigError(f"--embedding needs a dense checkpoint; variant {variant} "
                           f"has text_mode {text_mode!r}")
-    audio_fs = ft.audio_features(ft.read_wav(args.wav), fcfg)
     table = _checkpoint_table(args.embedding, meta) if text_mode == "dense" else None
+    audio_fs = ft.audio_features(ft.read_wav(args.wav), fcfg)
     text_fs = cp.text_features(args.transcript, text_mode, table, fcfg.text_t_max)
     with tr._no_tape(model):
         probs, aux = model.forward(audio_fs, text=text_fs)

@@ -304,5 +304,8 @@ def load_model(path) -> tuple[IntentClassifier, FeatureConfig, dict]:
         fcfg = FeatureConfig(**read_section("feature", meta["features"], FeatureConfig))
     except ConfigError as exc:
         raise DataError(f"sidecar {sidecar}: {exc}") from exc
+    if model.audio_dim != fcfg.audio_dim:
+        raise DataError(f"sidecar {sidecar}: audio_dim {model.audio_dim} does not match "
+                        f"its features' {fcfg.audio_dim}")
     model.load_state(checkpoint.load_params(path))
     return model, fcfg, meta

@@ -103,14 +103,31 @@ class Adam:
 
 
 def cross_entropy(probs: Tensor, label) -> Tensor:
-    """-log p[label] with a floor at the smallest normal float; batched input gives the mean."""
+    """mean(-log(max(p[row, label], tiny))) over (B, 7) probs; a (7,) row is a batch of one.
+
+    tiny, the smallest normal float64, keeps the loss finite when a labelled
+    probability underflows to 0. The gradient at each labelled entry is
+    -1 / (B * p) where p > tiny and 0 elsewhere, in the shape of probs.
+    """
+    probs = ad._wrap(probs)
     labels = np.atleast_1d(np.asarray(label))
     if labels.dtype.kind not in "iu" or np.any(labels < 0) or np.any(labels >= N_CLASSES):
         raise LabelError(f"labels must be integers in 0..{N_CLASSES - 1}, got {label!r}")
-    p = probs if probs.ndim == 2 else ad.index(probs, None)
-    if p.shape != (labels.shape[0], N_CLASSES):
-        raise ConfigError(f"probs shape {probs.shape} does not fit {labels.shape[0]} labels")
-    return ad.nll(p, labels)
+    p = probs.data if probs.ndim == 2 else probs.data[None]
+    if p.shape != (*labels.shape, N_CLASSES):
+        raise ConfigError(f"probs shape {probs.shape} does not fit labels of shape {labels.shape}")
+    rows = np.arange(labels.shape[0])
+    picked = p[rows, labels]
+    tiny = np.finfo(np.float64).tiny
+    out_data = np.asarray((-np.log(np.maximum(picked, tiny))).mean())
+
+    def backward(g: Array) -> None:
+        live = picked > tiny
+        grad = np.zeros(p.shape)
+        grad[rows[live], labels[live]] = ((float(g) / labels.shape[0]) * -1.0) / picked[live]
+        ad._accum(probs, grad.reshape(probs.shape))
+
+    return ad._node(out_data, (probs,), backward)
 
 
 # ------------------------------------------------------------------ metrics

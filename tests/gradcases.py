@@ -1,6 +1,6 @@
-"""Scalar-valued wrappers for every registered op, and for the arithmetic
-that took over each retired op, shared by the unit and acceptance suites.
-Each case is (fn, inputs) ready for gradient_check."""
+"""Scalar-valued wrappers for every registered op and the loss, and for the
+arithmetic that took over each retired op, shared by the unit and
+acceptance suites. Each case is (fn, inputs) ready for gradient_check."""
 
 import numpy as np
 
@@ -42,9 +42,10 @@ def op_check_cases(rng):
 
     return {
         "index": (index_reads, [t(2, 3, 4)]),
+        # the loss node, keyed by the name of the engine op it replaced
         "nll": (
-            lambda p: ad.nll(p, np.array([2, 0, 3])),
-            [Tensor(rng.uniform(0.1, 1.0, size=(3, 4)), requires_grad=True)],
+            lambda p: cross_entropy(p, np.array([2, 0, 3])),
+            [Tensor(rng.uniform(0.1, 1.0, size=(3, 7)), requires_grad=True)],
         ),
     }
 
@@ -66,8 +67,8 @@ def retired_op_cases(rng):
     per-part slices of the concat, the two weight products, the two
     row-broadcast bias adds, and the relu mask (b1 is random, so z1 takes
     both signs). masked_softmax checks _softmax_grad on a masked row, and
-    reshape the two index reads a single utterance takes to the loss: one
-    row of the batch, then a new leading axis in cross_entropy.
+    reshape the way a single utterance takes to the loss: an index read of
+    one row of the batch, which cross_entropy reads as a batch of one.
     """
     labels = np.array([0, 4, 6])
     mask = np.array([1.0, 1.0, 0.0, 1.0])
@@ -77,7 +78,7 @@ def retired_op_cases(rng):
         m.b1.data = rng.normal(size=m.b1.shape)
         parts = [Tensor(rng.normal(size=(3, 4))) for _ in range(1 if tag in AUDIO_ONLY_TAGS else 2)]
         # gradient_check perturbs the checked tensors in place, so fn reads them from m and parts
-        return (lambda *_: ad.nll(m._head(parts)[0], labels)), inputs_of(m, parts)
+        return (lambda *_: cross_entropy(m._head(parts)[0], labels)), inputs_of(m, parts)
 
     return {
         "concat_last": case("ca", lambda m, parts: parts),

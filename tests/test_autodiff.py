@@ -9,6 +9,7 @@ from ambispeech import autodiff as ad
 from ambispeech.autodiff import Tensor
 from ambispeech.encoders import attend, init_attention
 from ambispeech.errors import DegenerateMaskError, ShapeError
+from ambispeech.training import cross_entropy
 
 
 def test_matmul_value_and_grads():
@@ -19,7 +20,7 @@ def test_matmul_value_and_grads():
     m.W2.data = np.eye(1, 7)
     probs, logits = m._head([x])
     np.testing.assert_array_equal(logits, 11.0 * np.eye(1, 7))
-    ad.nll(probs, np.array([0])).backward()
+    cross_entropy(probs, np.array([0])).backward()
     d0 = probs.data[0, 0] - 1.0  # d loss / d logits[0, 0]
     np.testing.assert_allclose(x.grad, [[3.0 * d0, 4.0 * d0]], rtol=1e-12)
     np.testing.assert_allclose(m.W1.grad, [[1.0 * d0], [2.0 * d0]], rtol=1e-12)
@@ -116,16 +117,16 @@ def test_index_copies_and_rejects_array_keys():
 
 
 def test_index_none_key_adds_an_axis_and_scatters_back():
-    # the rank adapters of a single utterance: forward's index(probs, 0) and
-    # cross_entropy's index(probs, None) return a row and its (1, C) view
+    # an int key drops an axis and a None key adds one; each backward puts
+    # the gradient back in its input's shape
     probs = Tensor(np.array([[0.2, 0.8], [0.6, 0.4]]), requires_grad=True)
     row = ad.index(probs, 1)
     batch = ad.index(row, None)
     assert row.shape == (2,) and batch.shape == (1, 2)
     assert np.array_equal(batch.data, [[0.6, 0.4]])
-    ad.nll(batch, np.array([0])).backward()
-    assert np.array_equal(row.grad, [-1.0 / 0.6, 0.0])
-    assert np.array_equal(probs.grad, [[0.0, 0.0], [-1.0 / 0.6, 0.0]])
+    weighted_sum((batch, [[3.0, -2.0]])).backward()
+    assert np.array_equal(row.grad, [3.0, -2.0])
+    assert np.array_equal(probs.grad, [[0.0, 0.0], [3.0, -2.0]])
 
 
 def test_deep_chain_does_not_recurse():
@@ -210,6 +211,11 @@ def test_gradient_check_validates_eps():
         ad.gradient_check(lambda t: weighted_sum((t, 1.0)), [Tensor(np.ones(3))], eps=0.1)
 
 
+def test_gradient_check_needs_a_scalar_fn():
+    with pytest.raises(ShapeError, match=r"^fn must be scalar-valued, got shape \(3,\)$"):
+        ad.gradient_check(lambda t: ad.index(t, np.s_[:]), [Tensor(np.ones(3))])
+
+
 def test_gradient_check_reports_not_raises():
     # a wrong gradient must surface as a large return value, never an exception
     def broken(t):
@@ -227,8 +233,9 @@ def test_gradient_check_reports_not_raises():
 
 
 def test_every_registered_op_is_covered():
+    # and the loss, under the name of the op it replaced
     cases = op_check_cases(np.random.default_rng(0))
-    assert set(cases) == set(ad.REGISTERED_OPS)
+    assert set(cases) == {*ad.REGISTERED_OPS, "nll"}
 
 
 def test_every_registered_op_has_a_caller():
@@ -240,11 +247,14 @@ def test_every_registered_op_has_a_caller():
         assert re.search(rf"\bad\.{name}\(", text), name
 
 
-@pytest.mark.parametrize("name", sorted([*ad.REGISTERED_OPS, *retired_op_cases(np.random.default_rng(0))]))
+OP_CASES = sorted(op_check_cases(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("name", sorted([*OP_CASES, *retired_op_cases(np.random.default_rng(0))]))
 def test_op_gradients_match_finite_differences(name):
-    # the registered ops, and the arithmetic that took over each retired one
+    # the registered ops and the loss, and the arithmetic that took over each retired op
     for trial in range(3):
         rng = np.random.default_rng(100 + trial)
-        cases = op_check_cases(rng) if name in ad.REGISTERED_OPS else retired_op_cases(rng)
+        cases = op_check_cases(rng) if name in OP_CASES else retired_op_cases(rng)
         fn, inputs = cases[name]
         assert ad.gradient_check(fn, inputs) < 1e-4

@@ -90,6 +90,13 @@ def test_non_finite_entry_is_data_error_naming_the_parameter(tmp_path, params, b
         load_params(path)
 
 
+def test_an_overlong_name_is_data_error_and_writes_no_file(tmp_path):
+    path = tmp_path / "m.ambi"
+    with pytest.raises(DataError, match=r"^parameter path too long: a{50}\.\.\.$"):
+        save_params(path, {"a" * 0x10000: np.zeros(2)})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_params(tmp_path / "absent.ambi")

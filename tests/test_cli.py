@@ -729,6 +729,37 @@ def test_dense_checkpoint_needs_an_embedding_table(corpus, trained, tmp_path, ca
         assert err == "error: dense checkpoint without an embedding table path\n"
 
 
+@pytest.mark.parametrize("case", ["features", "table"])
+def test_a_checkpoint_whose_dims_disagree_fails_before_any_wav_is_read(corpus, trained, tmp_path,
+                                                                      capsys, monkeypatch, case):
+    ckpt, table = tmp_path / "m.ambi", tmp_path / "table.txt"
+    ckpt.write_bytes((trained / "selected.ambi").read_bytes())
+    meta = json.loads((trained / "selected.ambi.json").read_text(encoding="utf-8"))
+    if case == "features":  # the sidecar's features make 65-dim frames for a 9-dim encoder
+        meta["features"]["n_mels"] = 64
+        code, says = 1, f"sidecar {ckpt}.json: audio_dim 9 does not match its features' 65"
+    else:  # a dense checkpoint given a table one dim short of its text encoder
+        meta["text_mode"] = "dense"
+        dim = meta["text_dim"] - 1
+        cp.save_embedding_table(table, ft.EmbeddingTable({"가": np.ones(dim)}, dim))
+        code = 2
+        says = f"embedding table {table} has dim {dim}, but the checkpoint's text_dim is 69"
+    (tmp_path / "m.ambi.json").write_text(json.dumps(meta), encoding="utf-8")
+    reads = []
+    monkeypatch.setattr(ft, "read_wav", lambda path: reads.append(path))
+    wav = str(corpus / "corpus" / "wav" / "syn0000a.wav")
+    table_flag = ["--embedding", str(table)] if case == "table" else []
+    capsys.readouterr()
+    for argv in (["eval", "--checkpoint", str(ckpt), "--manifest", manifest(corpus),
+                  "--cache-dir", str(tmp_path / "cache"), *table_flag],
+                 ["predict", "--checkpoint", str(ckpt), "--wav", wav, "--transcript", "가나",
+                  *table_flag]):
+        assert cli.main(argv) == code, argv[0]
+        assert capsys.readouterr() == ("", f"error: {says}\n"), argv[0]
+    assert reads == []
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
 def test_eval_reads_the_embedding_path_from_flag_then_config_then_sidecar(corpus, trained,
                                                                          tmp_path, capsys):
     ckpt, table, cfg = tmp_path / "d.ambi", tmp_path / "table.txt", tmp_path / "cfg.json"

@@ -15,7 +15,8 @@ def test_all_six_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    result = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+    # warnings are errors in the demos too, as everywhere else in the suite
+    result = subprocess.run([sys.executable, "-W", "error", os.path.join(ROOT, "demos", demo)],
                             cwd=tmp_path, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -216,6 +216,25 @@ def test_feature_sequence_rejects_violations():
         ft.FeatureSequence(np.zeros((3, 2)), np.zeros(3))
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ft.AudioSignal(np.zeros((2, 3)), 16000), ShapeError,
+     "samples must be 1-D, got shape (2, 3)"),
+    (lambda: ft.AudioSignal(np.zeros(3), 0), ConfigError, "sample_rate must be positive, got 0"),
+    (lambda: ft.FeatureSequence(np.zeros((3, 2)), np.ones(4)), ShapeError,
+     "data (3, 2) and mask (4,) do not line up"),
+    (lambda: ft.end_align(np.zeros(3)), ShapeError, "rows must be 2-D, got shape (3,)"),
+    (lambda: ft.end_align(np.zeros((0, 3))), EmptyInputError,
+     "cannot align an empty row sequence"),
+    (lambda: ft.end_align(np.zeros((2, 3)), 0), ConfigError, "t_max must be >= 1, got 0"),
+    (lambda: ft.rmse_frames(ft.AudioSignal(np.zeros(3), 16000), 0, 256), ConfigError,
+     "frame_length and hop must be >= 1, got 0, 256"),
+])
+def test_bad_signals_and_sequences_raise_one_line(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_audio_features_shape_and_alignment():
     cfg = ft.FeatureConfig(n_mels=32, n_fft=512, hop=256, audio_t_max=40)
     fs = ft.audio_features(sine(440.0, seconds=0.3), cfg)

@@ -93,6 +93,41 @@ def test_cross_entropy_rejects_bad_labels():
             tr.cross_entropy(p, bad)
 
 
+def test_a_row_is_a_batch_of_one_in_one_node(monkeypatch):
+    # a single utterance's (7,) probabilities give the loss and gradient of
+    # the same row as a (1, 7) batch, bit for bit, from one taped node
+    p = np.random.default_rng(8).dirichlet(np.ones(7))
+    p[2] = 0.0  # a floored entry, which gets no gradient
+    taped = []
+    real_node = ad._node
+
+    def spy(data, parents, backward):
+        out = real_node(data, parents, backward)
+        taped.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "_node", spy)
+    for label in (2, 5):
+        row = Tensor(p.copy(), requires_grad=True)
+        batch = Tensor(p[None].copy(), requires_grad=True)
+        taped.clear()
+        loss = tr.cross_entropy(row, label)
+        assert sum(taped) == 1 and loss._parents == (row,)
+        want = tr.cross_entropy(batch, np.array([label]))
+        loss.backward()
+        want.backward()
+        assert loss.data.tobytes() == want.data.tobytes()
+        assert row.grad.shape == (7,)
+        assert row.grad.tobytes() == batch.grad[0].tobytes()
+
+
+def test_cross_entropy_rejects_probs_that_do_not_fit_the_labels():
+    for shape, labels in (((2, 7), np.array([0, 1, 2])), ((14,), 0), ((1, 1, 7), 0),
+                          ((2, 7), np.array([[0], [1]]))):
+        with pytest.raises(ConfigError, match="does not fit labels of shape"):
+            tr.cross_entropy(Tensor(np.full(shape, 1.0 / 7.0)), labels)
+
+
 def test_softmax_cross_entropy_gradient_closed_form():
     rng = np.random.default_rng(1)
     z = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
@@ -437,6 +472,13 @@ def test_non_finite_feature_stops_training_at_its_batch():
 def test_evaluate_rejects_empty():
     with pytest.raises(ConfigError):
         tr.evaluate(tiny_model(), [])
+
+
+def test_train_rejects_an_empty_set():
+    examples = make_examples(2, np.random.default_rng(0))
+    for train_set, eval_set in (([], examples), (examples, [])):
+        with pytest.raises(ConfigError, match="^empty train or eval set$"):
+            tr.train(tiny_model(), train_set, eval_set, tr.TrainConfig(max_epochs=1))
 
 
 VARIANTS = [("audio_bre", "none"), ("audio_bre_att", "none"), ("para_bre_att", "sparse"),
